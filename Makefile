@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzLineIndex$$' -fuzztime=30s ./internal/text
 	$(GO) test -fuzz='FuzzPagedBuffer$$' -fuzztime=30s ./internal/text
 	$(GO) test -fuzz='FuzzJournalDecode$$' -fuzztime=30s ./internal/journal
+	$(GO) test -fuzz='FuzzFrame$$' -fuzztime=30s ./internal/srvnet
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

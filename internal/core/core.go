@@ -537,16 +537,19 @@ func (h *Help) moveWindow(w *Window, p geom.Point) {
 	}
 	w.top = top
 	w.hidden = false
-	// Local rearrangement: other displayed windows sharing the row are
-	// nudged down; if they fall off the column they are hidden, keeping at
-	// least w's tag fully visible.
+	// Local rearrangement: a displayed window on w's row is nudged down
+	// one row, which may push the next one down in turn, cascading until
+	// a gap absorbs it; windows pushed off the column are hidden, keeping
+	// at least w's tag fully visible.
+	next := w.top + 1
 	for _, o := range dst.displayed() {
-		if o == w {
+		if o == w || o.top < w.top {
 			continue
 		}
-		if o.top == w.top {
-			o.top = w.top + 1
+		if o.top < next {
+			o.top = next
 		}
+		next = o.top + 1
 		if o.top >= dst.r.Max.Y {
 			o.hidden = true
 		}

@@ -222,11 +222,14 @@ func TestEditKeepsSelectionsValid(t *testing.T) {
 }
 
 // TestMoveWindowEverywhere drags a window to every cell of the screen;
-// the layout must stay sane at each drop.
+// the layout must stay sane at each drop. With three windows a drop can
+// land on one tag while the next sits on the row below, so the nudge
+// must cascade down the column.
 func TestMoveWindowEverywhere(t *testing.T) {
 	h := randomWorld(t)
 	w, _ := h.OpenFile("/f/a.txt", "")
 	h.OpenFile("/f/b.txt", "")
+	h.OpenFile("/f", "")
 	for y := -1; y < 26; y++ {
 		for x := -1; x < 62; x += 7 {
 			h.MoveWindow(w, geom.Pt(x, y))

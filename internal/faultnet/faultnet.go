@@ -223,9 +223,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.inner.Write(p)
 }
 
-// corrupt flips the first byte, which for a JSON frame breaks the
-// opening delimiter so the receiver reliably sees a malformed frame
-// (rather than silently corrupted payload data).
+// corrupt flips every bit of the first byte. srvnet frames carry one
+// CRC over the header and one over the string and payload, so wherever
+// the byte falls the receiver reliably sees a malformed frame (rather
+// than silently corrupted data).
 func corrupt(p []byte) {
 	if len(p) > 0 {
 		p[0] ^= 0xff

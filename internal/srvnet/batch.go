@@ -27,10 +27,10 @@ type Batch struct {
 // typed accessors should be called, once, matching the operation.
 type Future struct {
 	b    *Batch
-	op   string
+	op   op
 	path string
 	call *pendingCall // nil when resolved locally (cache hit) or failed at queue time
-	resp response
+	resp frame
 	err  error
 	done bool
 }
@@ -39,8 +39,8 @@ type Future struct {
 func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
 
 // queue registers and encodes one request without flushing.
-func (b *Batch) queue(req request) *Future {
-	f := &Future{b: b, op: req.Op, path: req.Path}
+func (b *Batch) queue(req frame) *Future {
+	f := &Future{b: b, op: req.Op, path: req.Str}
 	call, err := b.c.start(&req, false)
 	if err != nil {
 		f.err, f.done = err, true
@@ -60,28 +60,28 @@ func (b *Batch) ReadFile(path string) *Future {
 	if b.c.cacheEnabled() {
 		if data, ok := b.c.cacheGet(path); ok {
 			b.c.Obs.Counter("srvnet.cache.hit").Inc()
-			return &Future{op: "read", path: path, resp: response{Data: data}, done: true}
+			return &Future{op: opRead, path: path, resp: frame{Data: data}, done: true}
 		}
 		b.c.Obs.Counter("srvnet.cache.miss").Inc()
 	}
-	return b.queue(request{Op: "read", Path: path})
+	return b.queue(frame{Op: opRead, Str: path})
 }
 
 // Stat queues a stat.
 func (b *Batch) Stat(path string) *Future {
-	return b.queue(request{Op: "stat", Path: path})
+	return b.queue(frame{Op: opStat, Str: path})
 }
 
 // WriteFile queues a write, invalidating the path's cached entry.
 func (b *Batch) WriteFile(path string, data []byte) *Future {
 	b.c.cacheInvalidate(path)
-	return b.queue(request{Op: "write", Path: path, Data: data})
+	return b.queue(frame{Op: opWrite, Str: path, Data: data})
 }
 
 // AppendFile queues an append, invalidating the path's cached entry.
 func (b *Batch) AppendFile(path string, data []byte) *Future {
 	b.c.cacheInvalidate(path)
-	return b.queue(request{Op: "write", Path: path, Data: data, Append: true})
+	return b.queue(frame{Op: opAppend, Str: path, Data: data})
 }
 
 // Flush pushes every queued request onto the wire in one write.
@@ -117,7 +117,7 @@ func (f *Future) resolve() {
 		}
 	}
 	f.resp, f.err = f.b.c.wait(f.op, f.call)
-	if f.err == nil && f.op == "read" {
+	if f.err == nil && f.op == opRead {
 		f.b.c.cachePut(f.path, f.resp.Gen, f.resp.Data)
 	}
 }
@@ -141,12 +141,9 @@ func (f *Future) Info() (vfs.Info, error) {
 	if f.err != nil {
 		return vfs.Info{}, f.err
 	}
-	i := f.resp.Info
-	if i == nil {
-		return vfs.Info{}, f.err
-	}
-	if f.b != nil && f.b.c.cacheEnabled() {
+	info, err := statInfo(&f.resp)
+	if err == nil && f.b != nil && f.b.c.cacheEnabled() {
 		f.b.c.cacheNote(f.path, f.resp.Gen)
 	}
-	return vfs.Info{Name: i.Name, IsDir: i.IsDir, Size: i.Size, ModTime: i.ModTime, Gen: i.Gen}, nil
+	return info, err
 }

@@ -1,8 +1,8 @@
 package srvnet
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -208,11 +208,11 @@ func TestConnectDuringDrainRefusedAsDraining(t *testing.T) {
 	}()
 	defer client.Close()
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var resp response
-	if err := json.NewDecoder(client).Decode(&resp); err != nil {
+	var resp frame
+	if err := readFrame(bufio.NewReader(client), &resp, true); err != nil {
 		t.Fatalf("reading refusal: %v", err)
 	}
-	if err := errFromWire(resp.Err, resp.Code, resp.Retry); !errors.Is(err, ErrDraining) {
+	if err := errFromWire(&resp); !errors.Is(err, ErrDraining) {
 		t.Fatalf("refusal: err = %v, want ErrDraining", err)
 	}
 	<-done

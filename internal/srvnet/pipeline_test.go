@@ -56,18 +56,17 @@ func TestOutOfOrderRepliesMatchCallers(t *testing.T) {
 		defer close(done)
 		br := bufio.NewReader(server)
 		bw := bufio.NewWriter(server)
-		var reqs []request
+		var reqs []frame
 		for len(reqs) < 2 {
-			var req request
-			if readReq(br, &req) != nil {
+			var req frame
+			if readFrame(br, &req, false) != nil {
 				return
 			}
 			reqs = append(reqs, req)
 		}
 		// Reverse order: the second request is answered first.
 		for i := len(reqs) - 1; i >= 0; i-- {
-			resp := response{Seq: reqs[i].Seq, Data: []byte(reqs[i].Path)}
-			frameResp(bw, nil, &resp)
+			writeFrame(bw, nil, &frame{Seq: reqs[i].Seq, Data: []byte(reqs[i].Str)})
 		}
 		bw.Flush()
 	}()
@@ -521,7 +520,8 @@ func TestFaultMatrixPipelinedFrames(t *testing.T) {
 }
 
 // TestReadFileAtUsesReadahead: sequential chunked reads hit the
-// server's readahead slot after the first chunk snapshots the body.
+// server's readahead slot after the first chunk reads a window of the
+// file (here the whole 10000-byte body fits in one window).
 func TestReadFileAtUsesReadahead(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fs := vfs.New()
@@ -567,8 +567,8 @@ func TestReadFileAtUsesReadahead(t *testing.T) {
 	if hits := snap["srvnet.readahead.hit"]; hits < 9 {
 		t.Fatalf("readahead.hit = %d, want >= 9", hits)
 	}
-	// A write moves the generation: the slot must re-snapshot, not serve
-	// the stale body.
+	// A write moves the generation: the slot must re-read the window,
+	// not serve the stale body.
 	fs.WriteFile("/d/big", []byte("rewritten"))
 	chunk, err := c.ReadFileAt("/d/big", 0, 100)
 	if err != nil || string(chunk) != "rewritten" {

@@ -1,8 +1,9 @@
 package srvnet
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -32,8 +33,10 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestMalformedFrameGetsProtocolError is the regression test for the
-// server silently dropping malformed JSON: the client must receive an
-// explicit protocol-error reply before the connection closes.
+// server silently dropping malformed frames: the client must receive an
+// explicit protocol-error reply before the connection closes. The
+// garbage is longer than a header, so it is a malformed frame, not an
+// incomplete one the server would wait out.
 func TestMalformedFrameGetsProtocolError(t *testing.T) {
 	fs := vfs.New()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -48,19 +51,20 @@ func TestMalformedFrameGetsProtocolError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
+	if _, err := conn.Write(bytes.Repeat([]byte("this is not a frame\n"), 3)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+	br := bufio.NewReader(conn)
+	var resp frame
+	if err := readFrame(br, &resp, true); err != nil {
 		t.Fatalf("no protocol-error reply: %v", err)
 	}
-	if resp.Code != codeProto || !strings.Contains(resp.Err, "malformed") {
+	if resp.Code != codeProto || !strings.Contains(resp.Str, "malformed") {
 		t.Errorf("reply = %+v", resp)
 	}
 	// The connection is closed afterward: the stream cannot be resynced.
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
+	if _, err := br.ReadByte(); err == nil {
 		t.Error("connection stayed open after protocol error")
 	}
 }
@@ -341,11 +345,9 @@ func TestClientCloseDuringRPC(t *testing.T) {
 func TestSeqMismatchPoisons(t *testing.T) {
 	cside, sside := net.Pipe()
 	go func() {
-		dec := json.NewDecoder(sside)
-		enc := json.NewEncoder(sside)
-		var req request
-		if dec.Decode(&req) == nil {
-			enc.Encode(response{Seq: req.Seq + 7})
+		var req frame
+		if readFrame(bufio.NewReader(sside), &req, false) == nil {
+			writeFrame(sside, nil, &frame{Seq: req.Seq + 7})
 		}
 	}()
 	c := NewClient(cside)

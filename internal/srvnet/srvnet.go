@@ -4,19 +4,14 @@
 // to the CPU server, sending requests to run applications to the remote
 // shell-like process."
 //
-// The protocol is a minimal file service in the spirit of 9P. Each
-// frame is one newline-terminated JSON header line — the request's
-// operation, path, and sequence number, or the response echoing that
-// sequence number with directory entries or an error — followed, when
-// the header's "n" field is nonzero, by n raw payload bytes whose
-// CRC-32 rides in "sum". Keeping file contents out of the JSON spares
-// the hot path both the base64 expansion and the byte-at-a-time string
-// scan, while header-only control frames stay plain one-line JSON that
-// any peer can speak; headers themselves go through a reflection-free
-// codec (codec.go) that emits and scans the same JSON by hand. The call
-// is only "invisible" if the wire path keeps up with the user
-// interface, so the transport is built for throughput as well as fault
-// tolerance:
+// The protocol is a minimal file service in the spirit of 9P. Every
+// frame, in either direction, is one fixed-size binary header — op,
+// status code, sequence number, generation, offset, count, a
+// millisecond field and two CRCs — followed by one string (a path, glob
+// pattern, session name or error text) and a raw payload; frame.go
+// holds the layout and its one encoder and decoder. The call is only
+// "invisible" if the wire path keeps up with the user interface, so the
+// transport is built for throughput as well as fault tolerance:
 //
 //   - Requests are pipelined. The Client splits into a writer (callers
 //     encode under a write mutex) and one dedicated reader goroutine
@@ -35,8 +30,9 @@
 //     re-read of an unchanged file into a pure cache hit with zero wire
 //     traffic; see Client.SetCache for the coherence rules.
 //   - Sequential chunked reads ("readat") are served from a
-//     per-connection readahead slot: the first chunk snapshots the whole
-//     body once, later chunks slice it while the generation holds.
+//     per-connection readahead slot: a miss reads a window of the file
+//     (raWindow) once, and later chunks slice it while the generation
+//     holds and the window covers them.
 //
 // The transport is hardened end to end: the server bounds idle
 // connections and response writes with deadlines, tracks every
@@ -60,11 +56,10 @@ package srvnet
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -79,9 +74,10 @@ import (
 
 // Typed protocol-level errors. Test with errors.Is.
 var (
-	// ErrProto marks a protocol violation: a malformed frame reported
-	// by the peer, or an out-of-sequence response. The connection is
-	// not usable afterward.
+	// ErrProto marks a protocol violation: a malformed frame, sent or
+	// received, an out-of-sequence response, or a reply whose payload
+	// does not fit its request. A framing violation ends the
+	// connection.
 	ErrProto = errors.New("srvnet: protocol error")
 	// ErrBusy is a transient server refusal: the connection registry,
 	// the waiter budget, or a daemon resource budget is full. It wraps
@@ -147,180 +143,8 @@ const (
 	wireBufSize = 64 * 1024
 )
 
-// request is one wire operation. Data rides outside the JSON header as
-// a raw sidecar (see the framing helpers): N carries its length and Sum
-// its checksum.
-type request struct {
-	Seq     uint64 `json:"seq"`
-	Op      string `json:"op"`
-	Path    string `json:"path,omitempty"`
-	Data    []byte `json:"-"`
-	Append  bool   `json:"append,omitempty"`
-	Pattern string `json:"pattern,omitempty"`
-	// Offset and Count address a "readat" chunk. "readwait" reuses
-	// Offset as the resume sequence number (the last event seq the
-	// subscriber has seen).
-	Offset int64 `json:"off,omitempty"`
-	Count  int64 `json:"count,omitempty"`
-	// Wait is a "readwait" long-poll bound in milliseconds; <= 0 asks
-	// for the server's maximum.
-	Wait int64 `json:"wait,omitempty"`
-	// N and Sum frame the payload sidecar.
-	N   int64  `json:"n,omitempty"`
-	Sum uint32 `json:"sum,omitempty"`
-}
-
-// entry mirrors vfs.Info on the wire.
-type entry struct {
-	Name    string `json:"name"`
-	IsDir   bool   `json:"isDir"`
-	Size    int64  `json:"size"`
-	ModTime int64  `json:"modTime"`
-	Gen     uint64 `json:"gen,omitempty"`
-}
-
-// response is one wire reply. Seq echoes the request's sequence number;
-// a response the server cannot attribute to a request (a malformed
-// frame, a busy rejection) carries Seq 0 and a Code of "proto" or
-// "busy". Gen, when nonzero, is the edit generation of the request's
-// target file observed while serving it — the client cache keys on it.
-type response struct {
-	Seq     uint64   `json:"seq"`
-	Err     string   `json:"err,omitempty"`
-	Code    string   `json:"code,omitempty"`
-	Data    []byte   `json:"-"`
-	Entries []entry  `json:"entries,omitempty"`
-	Names   []string `json:"names,omitempty"`
-	Info    *entry   `json:"info,omitempty"`
-	Gen     uint64   `json:"gen,omitempty"`
-	// Retry, on a busy refusal, is the server's retry-after hint in
-	// milliseconds: how long the refused client should wait (jittered)
-	// before trying again.
-	Retry int64 `json:"retry,omitempty"`
-	// N and Sum frame the payload sidecar.
-	N   int64  `json:"n,omitempty"`
-	Sum uint32 `json:"sum,omitempty"`
-}
-
-// Framing: each message is one JSON header line followed, when N > 0,
-// by N raw payload bytes. Keeping file contents out of the JSON saves
-// both the base64 expansion and the byte-at-a-time string scan on the
-// hot path — a read's payload costs a copy, not a parse — while the
-// header stays line-delimited JSON, so control frames (refusals, error
-// replies) remain plain one-line JSON messages. Sum is a CRC over the
-// payload: raw bytes have no syntax to break, so without it a fault
-// that flips a payload byte would deliver silently corrupted data.
-
-// maxPayload bounds a sidecar read, so a corrupted header cannot ask
-// the receiver to allocate gigabytes.
-const maxPayload = 1 << 28
-
-var errSum = errors.New("srvnet: payload checksum mismatch")
-
-// frameReq emits req's header line and payload sidecar into bw. hdr is
-// a reused scratch buffer for the header bytes; the (possibly regrown)
-// buffer is returned for the caller to keep.
-func frameReq(bw *bufio.Writer, hdr []byte, req *request) ([]byte, error) {
-	req.N = int64(len(req.Data))
-	req.Sum = 0
-	if req.N > 0 {
-		req.Sum = crc32.ChecksumIEEE(req.Data)
-	}
-	hdr = encodeReq(hdr[:0], req)
-	if _, err := bw.Write(hdr); err != nil {
-		return hdr, err
-	}
-	if req.N > 0 {
-		if _, err := bw.Write(req.Data); err != nil {
-			return hdr, err
-		}
-	}
-	return hdr, nil
-}
-
-func frameResp(bw *bufio.Writer, hdr []byte, resp *response) ([]byte, error) {
-	resp.N = int64(len(resp.Data))
-	resp.Sum = 0
-	if resp.N > 0 {
-		resp.Sum = crc32.ChecksumIEEE(resp.Data)
-	}
-	hdr, err := encodeResp(hdr[:0], resp)
-	if err != nil {
-		return hdr, err
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return hdr, err
-	}
-	if resp.N > 0 {
-		if _, err := bw.Write(resp.Data); err != nil {
-			return hdr, err
-		}
-	}
-	return hdr, nil
-}
-
-// readPayload collects an N-byte sidecar and verifies its checksum.
-func readPayload(br *bufio.Reader, n int64, sum uint32) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if n > maxPayload {
-		return nil, fmt.Errorf("srvnet: payload length %d exceeds limit", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(data) != sum {
-		return nil, errSum
-	}
-	return data, nil
-}
-
-// readReq decodes one request frame: header line through the fast
-// codec (codec.go), payload straight off the bufio.Reader. req is
-// reset so a field absent from this header cannot inherit the previous
-// frame's value.
-func readReq(br *bufio.Reader, req *request) error {
-	line, err := readLine(br)
-	if err != nil {
-		return err
-	}
-	if err := decodeReq(line, req); err != nil {
-		return err
-	}
-	req.Data, err = readPayload(br, req.N, req.Sum)
-	return err
-}
-
-func readResp(br *bufio.Reader, resp *response) error {
-	line, err := readLine(br)
-	if err != nil {
-		return err
-	}
-	if err := decodeResp(line, resp); err != nil {
-		return err
-	}
-	resp.Data, err = readPayload(br, resp.N, resp.Sum)
-	return err
-}
-
-// Wire error codes, mapping vfs sentinels (and protocol conditions)
-// across the connection so clients can classify failures with errors.Is.
-const (
-	codeNotExist = "not-exist"
-	codeExist    = "exist"
-	codeIsDir    = "is-dir"
-	codeNotDir   = "not-dir"
-	codePerm     = "perm"
-	codeBadMode  = "bad-mode"
-	codeProto    = "proto"
-	codeBusy     = "busy"
-	codeDraining = "draining"
-	codeNoSess   = "no-session"
-)
-
-var codeToErr = map[string]error{
+// codeErrs maps each error code to the sentinel it restores.
+var codeErrs = [numCodes]error{
 	codeNotExist: vfs.ErrNotExist,
 	codeExist:    vfs.ErrExist,
 	codeIsDir:    vfs.ErrIsDir,
@@ -333,8 +157,9 @@ var codeToErr = map[string]error{
 	codeNoSess:   ErrNoSession,
 }
 
-// codeOf maps a server-side error to its wire code; "" if none applies.
-func codeOf(err error) string {
+// codeOf maps a server-side error to its wire code; codeErr if no
+// sentinel applies.
+func codeOf(err error) code {
 	switch {
 	case errors.Is(err, vfs.ErrNotExist):
 		return codeNotExist
@@ -357,7 +182,7 @@ func codeOf(err error) string {
 	case errors.Is(err, ErrNoSession):
 		return codeNoSess
 	}
-	return ""
+	return codeErr
 }
 
 // wireError reconstructs a remote error on the client: the message is
@@ -378,12 +203,12 @@ func (e *wireError) RetryAfter() time.Duration { return e.retry }
 
 // errFromWire turns an error reply into a client-side error that keeps
 // the remote message, the sentinel named by the wire code, and — on a
-// busy refusal — the retry-after hint (retryMS, milliseconds).
-func errFromWire(msg, code string, retryMS int64) error {
-	if base, ok := codeToErr[code]; ok {
-		return &wireError{msg: msg, base: base, retry: time.Duration(retryMS) * time.Millisecond}
+// busy refusal — the retry-after hint.
+func errFromWire(resp *frame) error {
+	if base := codeErrs[resp.Code]; base != nil {
+		return &wireError{msg: resp.Str, base: base, retry: time.Duration(resp.MS) * time.Millisecond}
 	}
-	return errors.New(msg)
+	return errors.New(resp.Str)
 }
 
 // Hub resolves attach handshakes for a server that multiplexes many
@@ -505,24 +330,20 @@ func (s *Server) retryAfter() time.Duration {
 // retryHintMS resolves the retry-after hint (in wire milliseconds) for
 // a busy refusal: the refusing budget's own hint when err carries one,
 // the server default otherwise.
-func (s *Server) retryHintMS(err error) int64 {
+func (s *Server) retryHintMS(err error) uint32 {
 	d := s.retryAfter()
 	if hint, ok := vfs.RetryAfter(err); ok {
 		d = hint
 	}
-	ms := int64(d / time.Millisecond)
-	if ms <= 0 {
-		ms = 1
-	}
-	return ms
+	return uint32(min(max(d/time.Millisecond, 1), math.MaxUint32))
 }
 
 // errResp fills an error reply's wire fields, stamping busy refusals
 // with their retry-after hint.
-func (s *Server) errResp(err error) response {
-	resp := response{Err: err.Error(), Code: codeOf(err)}
+func (s *Server) errResp(err error) frame {
+	resp := frame{Code: codeOf(err), Str: err.Error()}
 	if resp.Code == codeBusy {
-		resp.Retry = s.retryHintMS(err)
+		resp.MS = s.retryHintMS(err)
 	}
 	return resp
 }
@@ -637,7 +458,7 @@ func (s *Server) Serve(l net.Listener) error {
 // readItem is one unit from a connection's reader goroutine to its
 // executor: either a decoded request or the error that ended reading.
 type readItem struct {
-	req request
+	req frame
 	err error
 }
 
@@ -654,15 +475,14 @@ type readItem struct {
 // a few large writes instead of one write per reply.
 func (s *Server) ServeConn(conn net.Conn) {
 	if !s.register(conn) {
-		refusal := response{Err: ErrBusy.Error(), Code: codeBusy, Retry: s.retryHintMS(nil)}
+		refusal := frame{Code: codeBusy, Str: ErrBusy.Error(), MS: s.retryHintMS(nil)}
 		if s.isDraining() {
-			refusal = response{Err: ErrDraining.Error(), Code: codeDraining}
+			refusal = frame{Code: codeDraining, Str: ErrDraining.Error()}
 		} else {
 			s.Obs.Counter("srvnet.backpressure.refused.conn").Inc()
 		}
-		enc := json.NewEncoder(conn)
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		enc.Encode(refusal)
+		writeFrame(conn, nil, &refusal)
 		conn.Close()
 		return
 	}
@@ -689,7 +509,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	go func() {
 		defer close(readerDone)
 		br := bufio.NewReaderSize(conn, wireBufSize)
-		var req request
+		var req frame
 		for {
 			// The idle deadline bounds the gap between frames, so it only
 			// needs re-arming when the next read will actually touch the
@@ -697,7 +517,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			if br.Buffered() == 0 {
 				conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
 			}
-			if err := readReq(br, &req); err != nil {
+			if err := readFrame(br, &req, false); err != nil {
 				var ne net.Error
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 					errors.Is(err, net.ErrClosed) || (errors.As(err, &ne) && ne.Timeout()) {
@@ -752,14 +572,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// deadline is armed before every frame, not just at flush — a
 	// stalled peer fails the spill within the write timeout instead of
 	// hanging the executor mid-frame forever.
-	var out response
+	var out frame
 	var hdr []byte
 	emit := func() error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
 		var err error
-		hdr, err = frameResp(bw, hdr, &out)
+		hdr, err = writeFrame(bw, hdr, &out)
 		noteWriteErr(err)
 		return err
 	}
@@ -768,7 +588,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		defer wmu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
 		var err error
-		if hdr, err = frameResp(bw, hdr, &out); err != nil {
+		if hdr, err = writeFrame(bw, hdr, &out); err != nil {
 			noteWriteErr(err)
 			return err
 		}
@@ -807,19 +627,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 			if errors.Is(item.err, io.EOF) || errors.Is(item.err, io.ErrUnexpectedEOF) ||
 				errors.Is(item.err, net.ErrClosed) || (errors.As(item.err, &ne) && ne.Timeout()) {
 				if s.isDraining() {
-					out = response{Err: ErrDraining.Error(), Code: codeDraining}
+					out = frame{Code: codeDraining, Str: ErrDraining.Error()}
 					emit()
 					flush()
 				}
 				return
 			}
 			// A malformed frame deserves an explicit reply before the
-			// connection closes: the JSON stream cannot be resynced, but
+			// connection closes: the byte stream cannot be resynced, but
 			// the client learns why instead of seeing a silent hangup.
-			out = response{
-				Err:  fmt.Sprintf("srvnet: malformed request: %v", item.err),
-				Code: codeProto,
-			}
+			out = frame{Code: codeProto, Str: item.err.Error()}
 			emit()
 			flush()
 			return
@@ -835,17 +652,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if s.isDraining() {
 			// A request decoded after Shutdown began gets the typed
 			// refusal so the client degrades instead of redialing.
-			out = response{Seq: req.Seq, Err: ErrDraining.Error(), Code: codeDraining}
+			out = frame{Seq: req.Seq, Code: codeDraining, Str: ErrDraining.Error()}
 			emit()
 			flush()
 			return
 		}
-		if req.Op == "attach" {
-			out = response{Seq: req.Seq}
+		if req.Op == opAttach {
+			out = frame{Seq: req.Seq}
 			if s.hub == nil {
-				out.Err = "srvnet: server does not multiplex sessions"
 				out.Code = codeProto
-			} else if nfs, ndetach, err := s.hub.AttachSession(req.Path); err != nil {
+				out.Str = "srvnet: server does not multiplex sessions"
+			} else if nfs, ndetach, err := s.hub.AttachSession(req.Str); err != nil {
 				out = s.errResp(err)
 				out.Seq = req.Seq
 			} else {
@@ -861,12 +678,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			continue
 		}
-		if req.Op == "readwait" {
+		if req.Op == opReadWait {
 			// A long poll must not hold the executor: requests pipelined
 			// behind it keep flowing while the waiter parks on the event
 			// device. The reply is written under wmu whenever it is ready.
 			if fs == nil {
-				out = response{Seq: req.Seq, Err: ErrNoSession.Error(), Code: codeNoSess}
+				out = frame{Seq: req.Seq, Code: codeNoSess, Str: ErrNoSession.Error()}
 				if err := reply(); err != nil {
 					return
 				}
@@ -888,7 +705,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			if parked {
 				waiters.Add(1)
-				go func(req request) {
+				go func(req frame) {
 					defer waiters.Done()
 					defer s.releaseWaiter()
 					defer func() { <-waiterSlots }()
@@ -908,8 +725,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 				// Waiter budget exhausted: degrade this subscriber to an
 				// immediate poll instead of parking another goroutine.
 				s.Obs.Counter("srvnet.backpressure.poll").Inc()
-				resp := s.readWait(req, wfs, stop, time.Millisecond)
-				out = resp
+				out = s.readWait(req, wfs, stop, time.Millisecond)
 				out.Seq = req.Seq
 				if err := reply(); err != nil {
 					return
@@ -939,25 +755,25 @@ func (s *Server) noteWriteErr(err error) {
 	}
 }
 
-// readWait performs one bounded wait for events past req.Offset on
-// req.Path. Cancellation (the connection tearing down) surfaces as the
-// error the device reports on stop.
-func (s *Server) readWait(req request, fs *vfs.FS, stop <-chan struct{}, timeout time.Duration) response {
-	data, next, err := fs.ReadWait(req.Path, uint64(req.Offset), stop, timeout)
+// readWait performs one bounded wait for events past req.Off on the
+// path req names. Cancellation (the connection tearing down) surfaces
+// as the error the device reports on stop.
+func (s *Server) readWait(req frame, fs *vfs.FS, stop <-chan struct{}, timeout time.Duration) frame {
+	data, next, err := fs.ReadWait(req.Str, uint64(req.Off), stop, timeout)
 	if err != nil {
-		return response{Err: err.Error(), Code: codeOf(err)}
+		return frame{Code: codeOf(err), Str: err.Error()}
 	}
 	// Gen carries the resume seq: an empty timeout reply still tells the
 	// subscriber where to resume, so the next poll cannot re-deliver.
-	return response{Data: data, Gen: next}
+	return frame{Data: data, Gen: next}
 }
 
 // serveReadWait runs one parked readwait to completion on its own
 // goroutine and delivers the reply under the connection's write mutex.
 // A connection already tearing down (stop closed) swallows the reply:
 // the peer is gone, and bw is about to die with the conn.
-func (s *Server) serveReadWait(req request, fs *vfs.FS, stop <-chan struct{}, wmu *sync.Mutex, bw *bufio.Writer, conn net.Conn) {
-	d := time.Duration(req.Wait) * time.Millisecond
+func (s *Server) serveReadWait(req frame, fs *vfs.FS, stop <-chan struct{}, wmu *sync.Mutex, bw *bufio.Writer, conn net.Conn) {
+	d := time.Duration(req.MS) * time.Millisecond
 	if max := s.readWaitCap(); d <= 0 || d > max {
 		d = max
 	}
@@ -971,7 +787,7 @@ func (s *Server) serveReadWait(req request, fs *vfs.FS, stop <-chan struct{}, wm
 	default:
 	}
 	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-	if _, err := frameResp(bw, nil, &out); err != nil {
+	if _, err := writeFrame(bw, nil, &out); err != nil {
 		s.noteWriteErr(err)
 		return
 	}
@@ -1002,7 +818,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		l.Close()
 	}
 	// Nudge idle connections: an immediate read deadline makes their
-	// blocked Decode return, while a request currently being handled
+	// blocked frame read return, while a request currently being handled
 	// still gets its response written before the loop exits.
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
@@ -1043,6 +859,13 @@ const raWindow = 1 << 20
 // but meant a "readat" of the head of a gigabyte file materialized the
 // whole thing server-side — exactly what the paged text engine exists
 // to avoid.
+//
+// The slot stays because it pays even now that vfs.ReadFileAt
+// range-reads: serving each "readat" straight from vfs.ReadFileAt
+// instead raised perfbench large's input p50 (a viewer walking a paged
+// 64 MiB log in 16 KiB chunks) from 41.5 to 45.9 µs, worse in 4 of 4
+// alternating pairs of 20 s runs on a 2-vCPU Xeon VM; a repeat read
+// medians of 42.9 and 45.1 µs, worse in 3 of 4.
 type readahead struct {
 	path string
 	gen  uint64
@@ -1095,72 +918,56 @@ func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, cou
 // proceed in parallel. Replies for operations that name a target file
 // piggyback its edit generation, observed under the same lock as the
 // operation, so client caches stay coherent with what they were told.
-func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
+func (s *Server) handle(req frame, fs *vfs.FS, ra *readahead) frame {
 	if s.hub == nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
 	if fs == nil {
-		return response{Err: ErrNoSession.Error(), Code: codeNoSess}
+		return frame{Code: codeNoSess, Str: ErrNoSession.Error()}
 	}
-	fail := func(err error) response { return s.errResp(err) }
+	path := req.Str // a glob's pattern
+	var out frame
+	var err error
 	switch req.Op {
-	case "read":
-		data, gen, err := fs.ReadFileGen(req.Path)
-		if err != nil {
-			return fail(err)
+	case opRead:
+		out.Data, out.Gen, err = fs.ReadFileGen(path)
+	case opReadAt:
+		out.Data, out.Gen, err = ra.readAt(fs, s.Obs, path, req.Off, req.Count)
+	case opWrite:
+		if err = fs.WriteFile(path, req.Data); err == nil {
+			out.Gen = fs.Gen(path)
 		}
-		return response{Data: data, Gen: gen}
-	case "readat":
-		data, gen, err := ra.readAt(fs, s.Obs, req.Path, req.Offset, req.Count)
-		if err != nil {
-			return fail(err)
+	case opAppend:
+		if err = fs.AppendFile(path, req.Data); err == nil {
+			out.Gen = fs.Gen(path)
 		}
-		return response{Data: data, Gen: gen}
-	case "write":
-		var err error
-		if req.Append {
-			err = fs.AppendFile(req.Path, req.Data)
-		} else {
-			err = fs.WriteFile(req.Path, req.Data)
+	case opReadDir:
+		var ents []vfs.Info
+		ents, err = fs.ReadDir(path)
+		for _, e := range ents {
+			out.Data = appendEntry(out.Data, e)
 		}
-		if err != nil {
-			return fail(err)
+	case opStat:
+		var info vfs.Info
+		if info, err = fs.Stat(path); err == nil {
+			out.Data, out.Gen = appendEntry(nil, info), info.Gen
 		}
-		return response{Gen: fs.Gen(req.Path)}
-	case "readdir":
-		ents, err := fs.ReadDir(req.Path)
-		if err != nil {
-			return fail(err)
+	case opGlob:
+		for _, name := range fs.Glob(path) {
+			out.Data = appendEntry(out.Data, vfs.Info{Name: name})
 		}
-		out := make([]entry, len(ents))
-		for i, e := range ents {
-			out[i] = entry{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime, Gen: e.Gen}
-		}
-		return response{Entries: out}
-	case "stat":
-		info, err := fs.Stat(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		return response{
-			Info: &entry{Name: info.Name, IsDir: info.IsDir, Size: info.Size, ModTime: info.ModTime, Gen: info.Gen},
-			Gen:  info.Gen,
-		}
-	case "glob":
-		return response{Names: fs.Glob(req.Pattern)}
-	case "mkdir":
-		if err := fs.MkdirAll(req.Path); err != nil {
-			return fail(err)
-		}
-		return response{}
-	case "remove":
-		if err := fs.Remove(req.Path); err != nil {
-			return fail(err)
-		}
-		return response{}
+	case opMkdir:
+		err = fs.MkdirAll(path)
+	case opRemove:
+		err = fs.Remove(path)
+	default:
+		err = fmt.Errorf("%w: op %v cannot be handled here", ErrProto, req.Op)
 	}
-	return response{Err: fmt.Sprintf("srvnet: unknown op %q", req.Op), Code: codeProto}
+	if err != nil {
+		return s.errResp(err)
+	}
+	return out
 }
 
 // pendingCall is one in-flight request awaiting its reply. Exactly one
@@ -1173,7 +980,7 @@ type pendingCall struct {
 }
 
 type callResult struct {
-	resp response
+	resp frame
 	err  error
 }
 
@@ -1442,18 +1249,16 @@ func (c *Client) poisonAll(err, closeErr error) {
 // pipelining) and poisons the connection; a Seq-0 reply is the server
 // refusing the connection itself and is delivered to every caller.
 func (c *Client) reader() {
-	var resp response
+	var resp frame
 	for {
-		if err := readResp(c.br, &resp); err != nil {
+		if err := readFrame(c.br, &resp, true); err != nil {
 			c.poisonAll(fmt.Errorf("srvnet: receive: %w", err), nil)
 			return
 		}
 		if resp.Seq == 0 {
-			var err error
-			if resp.Err != "" {
-				err = errFromWire(resp.Err, resp.Code, resp.Retry)
-			} else {
-				err = fmt.Errorf("%w: unattributable reply", ErrProto)
+			err := fmt.Errorf("%w: unattributable reply", ErrProto)
+			if resp.Code != codeOK {
+				err = errFromWire(&resp)
 			}
 			c.poisonAll(err, err)
 			return
@@ -1477,7 +1282,7 @@ func (c *Client) reader() {
 // request — flushing it onto the wire unless the caller is batching.
 // On success the caller owns the returned pendingCall and must collect
 // its result through wait.
-func (c *Client) start(req *request, flush bool) (*pendingCall, error) {
+func (c *Client) start(req *frame, flush bool) (*pendingCall, error) {
 	call := callPool.Get().(*pendingCall)
 	c.wmu.Lock()
 	c.pmu.Lock()
@@ -1505,7 +1310,7 @@ func (c *Client) start(req *request, flush bool) (*pendingCall, error) {
 		}
 	}
 	var err error
-	c.hdr, err = frameReq(c.bw, c.hdr, req)
+	c.hdr, err = writeFrame(c.bw, c.hdr, req)
 	if err == nil && flush {
 		err = c.bw.Flush()
 	}
@@ -1525,14 +1330,14 @@ func (c *Client) start(req *request, flush bool) (*pendingCall, error) {
 // that outlives the timeout poisons the connection — an abandoned reply
 // leaves the stream state unknown — and fails every other in-flight
 // call with it.
-func (c *Client) wait(op string, call *pendingCall) (response, error) {
+func (c *Client) wait(op op, call *pendingCall) (frame, error) {
 	return c.waitWithin(op, call, c.timeout())
 }
 
 // waitWithin is wait with an explicit round-trip bound: long polls
 // (ReadWait) stretch the default by their wait budget, so a legitimate
 // empty poll is not mistaken for a dead peer.
-func (c *Client) waitWithin(op string, call *pendingCall, to time.Duration) (response, error) {
+func (c *Client) waitWithin(op op, call *pendingCall, to time.Duration) (frame, error) {
 	defer c.Obs.Counter("srvnet.inflight").Add(-1)
 	var res callResult
 	select {
@@ -1542,10 +1347,10 @@ func (c *Client) waitWithin(op string, call *pendingCall, to time.Duration) (res
 		resp, err := res.resp, res.err
 		callPool.Put(call)
 		if err != nil {
-			return response{}, err
+			return frame{}, err
 		}
-		if resp.Err != "" {
-			return resp, errFromWire(resp.Err, resp.Code, resp.Retry)
+		if resp.Code != codeOK {
+			return resp, errFromWire(&resp)
 		}
 		return resp, nil
 	default:
@@ -1564,7 +1369,7 @@ func (c *Client) waitWithin(op string, call *pendingCall, to time.Duration) (res
 			// be recycled.
 			<-call.ch
 			callPool.Put(call)
-			return response{}, err
+			return frame{}, err
 		}
 	} else {
 		res = <-call.ch
@@ -1572,27 +1377,27 @@ func (c *Client) waitWithin(op string, call *pendingCall, to time.Duration) (res
 	resp, err := res.resp, res.err
 	callPool.Put(call)
 	if err != nil {
-		return response{}, err
+		return frame{}, err
 	}
-	if resp.Err != "" {
-		return resp, errFromWire(resp.Err, resp.Code, resp.Retry)
+	if resp.Code != codeOK {
+		return resp, errFromWire(&resp)
 	}
 	return resp, nil
 }
 
 // rpc performs one full round trip: pipelining-aware under the hood,
 // but synchronous for the caller.
-func (c *Client) rpc(req request) (response, error) {
+func (c *Client) rpc(req frame) (frame, error) {
 	if c.Obs != nil {
 		// Failed round trips are observed too: a latency histogram that
 		// hides the slow failures would understate what remote users pay.
-		defer func(t0 time.Time, op string) {
-			c.Obs.Histogram("srvnet." + op).Observe(time.Since(t0))
+		defer func(t0 time.Time, op op) {
+			c.Obs.Histogram("srvnet." + op.String()).Observe(time.Since(t0))
 		}(time.Now(), req.Op)
 	}
 	call, err := c.start(&req, true)
 	if err != nil {
-		return response{}, err
+		return frame{}, err
 	}
 	return c.wait(req.Op, call)
 }
@@ -1603,7 +1408,7 @@ func (c *Client) rpc(req request) (response, error) {
 // connection to another session and empties the read cache, whose
 // generations belonged to the old one.
 func (c *Client) Attach(session string) error {
-	_, err := c.rpc(request{Op: "attach", Path: session})
+	_, err := c.rpc(frame{Op: opAttach, Str: session})
 	if err == nil {
 		c.cacheFlush()
 	}
@@ -1622,7 +1427,7 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 		}
 		c.Obs.Counter("srvnet.cache.miss").Inc()
 	}
-	resp, err := c.rpc(request{Op: "read", Path: path})
+	resp, err := c.rpc(frame{Op: opRead, Str: path})
 	if err != nil {
 		return resp.Data, err
 	}
@@ -1635,11 +1440,13 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 // ReadFileAt reads up to count bytes of a remote file from byte offset
 // off (count <= 0 asks for the server's default chunk). A short or
 // empty result means end of file. Sequential chunks are served from the
-// server's per-connection readahead slot: the file is snapshotted once
-// and sliced while its generation holds, so walking a large body costs
-// one namespace visit, not one per chunk.
+// server's per-connection readahead slot: a miss reads a 1 MiB window
+// of the file, and later chunks slice it while the window covers them
+// and the file's generation holds. Walking a large body therefore reads
+// it once per window, not once per chunk; each hit still checks the
+// generation, which is one path lookup.
 func (c *Client) ReadFileAt(path string, off, count int64) ([]byte, error) {
-	resp, err := c.rpc(request{Op: "readat", Path: path, Offset: off, Count: count})
+	resp, err := c.rpc(frame{Op: opReadAt, Str: path, Off: off, Count: count})
 	return resp.Data, err
 }
 
@@ -1656,10 +1463,8 @@ func (c *Client) ReadFileAt(path string, off, count int64) ([]byte, error) {
 // The round trip is bounded by the client timeout plus the wait budget
 // — a long poll is the one call where a silent server is healthy.
 func (c *Client) ReadWait(path string, since uint64, wait time.Duration) (data []byte, next uint64, err error) {
-	if wait < 0 {
-		wait = 0
-	}
-	req := request{Op: "readwait", Path: path, Offset: int64(since), Wait: int64(wait / time.Millisecond)}
+	wait = min(max(wait, 0), maxReadWait)
+	req := frame{Op: opReadWait, Str: path, Off: int64(since), MS: uint32(wait / time.Millisecond)}
 	if c.Obs != nil {
 		defer func(t0 time.Time) {
 			c.Obs.Histogram("srvnet.readwait").Observe(time.Since(t0))
@@ -1669,7 +1474,7 @@ func (c *Client) ReadWait(path string, since uint64, wait time.Duration) (data [
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := c.waitWithin("readwait", call, c.readWaitBudget(wait))
+	resp, err := c.waitWithin(opReadWait, call, c.readWaitBudget(wait))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1813,59 +1618,73 @@ func (c *Client) pushInval(path string, gen uint64) {
 // path, if any, is invalidated.
 func (c *Client) WriteFile(path string, data []byte) error {
 	c.cacheInvalidate(path)
-	_, err := c.rpc(request{Op: "write", Path: path, Data: data})
+	_, err := c.rpc(frame{Op: opWrite, Str: path, Data: data})
 	return err
 }
 
 // AppendFile appends to a remote file, invalidating its cached entry.
 func (c *Client) AppendFile(path string, data []byte) error {
 	c.cacheInvalidate(path)
-	_, err := c.rpc(request{Op: "write", Path: path, Data: data, Append: true})
+	_, err := c.rpc(frame{Op: opAppend, Str: path, Data: data})
 	return err
 }
 
 // ReadDir lists a remote directory. Piggybacked entry generations
 // revalidate cached reads of the directory's files.
 func (c *Client) ReadDir(path string) ([]vfs.Info, error) {
-	resp, err := c.rpc(request{Op: "readdir", Path: path})
+	resp, err := c.rpc(frame{Op: opReadDir, Str: path})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]vfs.Info, len(resp.Entries))
-	cached := c.cacheEnabled()
-	for i, e := range resp.Entries {
-		out[i] = vfs.Info{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime, Gen: e.Gen}
-		if cached && !e.IsDir {
-			c.cacheNote(vfs.Clean(path+"/"+e.Name), e.Gen)
+	ents, err := parseEntries(resp.Data)
+	if err != nil {
+		return nil, err
+	}
+	if c.cacheEnabled() {
+		for _, e := range ents {
+			if !e.IsDir {
+				c.cacheNote(vfs.Clean(path+"/"+e.Name), e.Gen)
+			}
 		}
 	}
-	return out, nil
+	return ents, nil
 }
 
 // Stat describes a remote file. The reply's generation revalidates the
 // cached entry, so Stat-then-ReadFile is the strict-freshness idiom for
 // cached clients.
 func (c *Client) Stat(path string) (vfs.Info, error) {
-	resp, err := c.rpc(request{Op: "stat", Path: path})
+	resp, err := c.rpc(frame{Op: opStat, Str: path})
 	if err != nil {
 		return vfs.Info{}, err
 	}
-	if c.cacheEnabled() {
+	info, err := statInfo(&resp)
+	if err == nil && c.cacheEnabled() {
 		c.cacheNote(path, resp.Gen)
 	}
-	return vfs.Info{Name: resp.Info.Name, IsDir: resp.Info.IsDir, Size: resp.Info.Size,
-		ModTime: resp.Info.ModTime, Gen: resp.Info.Gen}, nil
+	return info, err
 }
 
 // Glob expands a pattern remotely.
 func (c *Client) Glob(pattern string) ([]string, error) {
-	resp, err := c.rpc(request{Op: "glob", Pattern: pattern})
-	return resp.Names, err
+	resp, err := c.rpc(frame{Op: opGlob, Str: pattern})
+	if err != nil {
+		return nil, err
+	}
+	ents, err := parseEntries(resp.Data)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name)
+	}
+	return names, nil
 }
 
 // MkdirAll creates a remote directory tree.
 func (c *Client) MkdirAll(path string) error {
-	_, err := c.rpc(request{Op: "mkdir", Path: path})
+	_, err := c.rpc(frame{Op: opMkdir, Str: path})
 	return err
 }
 
@@ -1873,6 +1692,6 @@ func (c *Client) MkdirAll(path string) error {
 // cached entry.
 func (c *Client) Remove(path string) error {
 	c.cacheInvalidate(path)
-	_, err := c.rpc(request{Op: "remove", Path: path})
+	_, err := c.rpc(frame{Op: opRemove, Str: path})
 	return err
 }

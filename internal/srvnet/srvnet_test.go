@@ -186,8 +186,8 @@ func TestRemoteDrivesHelp(t *testing.T) {
 func TestUnknownOp(t *testing.T) {
 	fs := vfs.New()
 	c, _ := serve(t, fs)
-	if _, err := c.rpc(request{Op: "bogus"}); err == nil {
-		t.Error("unknown op should error")
+	if _, err := c.rpc(frame{Op: numOps}); !errors.Is(err, ErrProto) {
+		t.Errorf("unknown op: err = %v, want ErrProto", err)
 	}
 }
 
