@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzPagedBuffer$$' -fuzztime=30s ./internal/text
 	$(GO) test -fuzz='FuzzJournalDecode$$' -fuzztime=30s ./internal/journal
 	$(GO) test -fuzz='FuzzFrame$$' -fuzztime=30s ./internal/srvnet
+	$(GO) test -fuzz='FuzzBus$$' -fuzztime=30s ./internal/notify
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

@@ -810,13 +810,14 @@ func BenchmarkReplayThroughput(b *testing.B) {
 
 // BenchmarkEventFanout measures the notify bus with a thousand parked
 // subscribers: the per-publish cost the core actor pays at a sweep
-// point. Rings overflow newest-wins, so a publish never blocks on a
-// reader — the number here is pure fan-out, not consumer speed.
+// point. The history laps readers that fall behind, so a publish never
+// blocks on a reader — the number here is pure fan-out, not consumer
+// speed.
 func BenchmarkEventFanout(b *testing.B) {
 	bus := notify.New()
 	subs := make([]*notify.Sub, 1000)
 	for i := range subs {
-		subs[i] = bus.Subscribe(0, 8, 0)
+		subs[i] = bus.Subscribe(0, 0)
 	}
 	defer func() {
 		for _, s := range subs {

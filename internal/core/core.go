@@ -151,9 +151,10 @@ type Help struct {
 	machine event.Machine
 	mousePt geom.Point // last pointer position, for typing dispatch
 
-	// Obs is the observability registry: counters, latency histograms,
-	// and the trace ring served by helpfs under /mnt/help. New installs
-	// one by default; SetObs replaces or disables it.
+	// Obs is the observability registry: counters and latency
+	// histograms served by helpfs under /mnt/help, and the spans it
+	// hands to Notify. New installs one by default; SetObs replaces or
+	// disables it.
 	Obs *obs.Registry
 	ins instruments
 
@@ -161,9 +162,9 @@ type Help struct {
 	// change (window create/close, body and tag edits, command
 	// execution), published from the choke points under the actor lock
 	// and consumed by the event files helpfs serves, the Watch built-in,
-	// and srvnet's readwait long polls. Publishing never blocks — a slow
-	// reader overflows its own ring, never the actor — so emission is
-	// safe on every hot path. New installs it; it is never nil.
+	// and srvnet's readwait long polls. Publishing never blocks — the
+	// bus history laps a slow reader, never waits for it — so emission
+	// is safe on every hot path. New installs it; it is never nil.
 	Notify *notify.Bus
 
 	// Interaction accounting mirrors into atomics after every event so

@@ -80,7 +80,7 @@ func (h *Help) watchCmd(w *Window, cmd string) {
 		h.appendErrors("Watch: usage: Watch command ...\n")
 		return
 	}
-	sub := h.Notify.Subscribe(w.ID, 0, 0)
+	sub := h.Notify.Subscribe(w.ID, 0)
 	out := procWriter{h}
 	ctx := h.Shell.NewContext(out, out)
 	ctx.FS = h.safeFS
@@ -134,7 +134,7 @@ func (h *Help) watchCmd(w *Window, cmd string) {
 	} else {
 		// startProc refused (proc limit): the run fn never executes, so
 		// its deferred Close never will either — close here or the
-		// subscription sits in the bus forever, absorbing every publish.
+		// subscription sits in the bus forever, woken by every publish.
 		sub.Close()
 	}
 }

@@ -110,21 +110,21 @@ func TestWatchRefusedAtProcLimitClosesSubscription(t *testing.T) {
 }
 
 // TestSlowSubscriberNeverBacksUpCore: a subscriber that stops reading
-// overflows its own ring — gap-marked, resyncable — while the core's
-// apply queue stays empty: event fan-out never sits on the interaction
-// path.
+// is lapped by the bus history — gap-marked, resyncable — while the
+// core's apply queue stays empty: event fan-out never sits on the
+// interaction path.
 func TestSlowSubscriberNeverBacksUpCore(t *testing.T) {
 	h, fs := world(t)
 	w, err := h.OpenFile("/usr/rob/lib/profile", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tiny ring, never read while the session works.
-	sub := h.Notify.Subscribe(0, 4, 0)
+	// Never read while the session publishes past the whole history.
+	sub := h.Notify.Subscribe(0, 0)
 	defer sub.Close()
 
-	for i := 0; i < 20; i++ {
-		fs.WriteFile("/usr/rob/lib/profile", []byte(strings.Repeat("x", i+1)+"\n"))
+	for i, end := 0, h.Notify.Seq()+notify.DefaultHistory+20; h.Notify.Seq() < end; i++ {
+		fs.WriteFile("/usr/rob/lib/profile", []byte(strings.Repeat("x", i%64+1)+"\n"))
 		h.Execute(w, "Get!")
 	}
 	if depth := h.Obs.StatsMap()["core.queue.depth"]; depth != 0 {

@@ -71,9 +71,10 @@ func (h *Help) SetObs(r *obs.Registry) {
 		h.ins = instruments{}
 		return
 	}
-	// The bus doubles as the registry's span sink: trace spans and
-	// fault/panic events stream into /mnt/help/log alongside the state
-	// changes, so one subscription observes everything.
+	// The bus is the registry's span sink and the only store of its
+	// spans: trace spans and fault/panic events stream into
+	// /mnt/help/log alongside the state changes, so one subscription
+	// observes everything, and /mnt/help/trace is read from its history.
 	r.SetSink(h.Notify.Sink())
 	h.ins = instruments{
 		on:            true,

@@ -1,6 +1,8 @@
 package helpfs
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -70,7 +72,7 @@ func (s *Service) initObs() {
 // registerObsFiles serves the registry through the file interface:
 //
 //	/mnt/help/stats         flat `key value` lines, every counter/gauge
-//	/mnt/help/trace         the last-N spans, one per line
+//	/mnt/help/trace         the spans still in the bus history, one per line
 //	/mnt/help/histo/<name>  one latency histogram, flat text
 //
 // so a shell script reads a latency histogram the same way it reads a
@@ -83,13 +85,35 @@ func (s *Service) registerObsFiles() error {
 	if err := s.fs.RegisterDevice(s.root+"/stats", readDevice{content: r.StatsText}); err != nil {
 		return err
 	}
-	if err := s.fs.RegisterDevice(s.root+"/trace", readDevice{content: r.TraceText}); err != nil {
+	if err := s.fs.RegisterDevice(s.root+"/trace", readDevice{content: s.traceText}); err != nil {
 		return err
 	}
 	if err := s.fs.MkdirAll(s.root + "/histo"); err != nil {
 		return err
 	}
 	return s.SyncHistograms()
+}
+
+// traceText renders the session bus's "trace" events, the spans the
+// registry handed to it, oldest first as "<seq> <name> <dur>us <attrs>"
+// lines: the byte content of /mnt/help/trace. The first line stamps the
+// newest and oldest seqs the history holds, "# seq <n> oldest <m>": a
+// reader whose previous read was stamped seq p has lost events, spans
+// among them possibly, iff m > p+1.
+func (s *Service) traceText() string {
+	evs := s.h.Notify.History()
+	var newest, oldest uint64
+	if len(evs) > 0 {
+		newest, oldest = evs[len(evs)-1].Seq, evs[0].Seq
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# seq %d oldest %d\n", newest, oldest)
+	for _, ev := range evs {
+		if ev.Kind == "trace" {
+			fmt.Fprintf(&b, "%d %s\n", ev.Seq, ev.Detail)
+		}
+	}
+	return b.String()
 }
 
 // SyncHistograms materializes /mnt/help/histo/<name> for histograms

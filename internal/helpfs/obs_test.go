@@ -132,7 +132,7 @@ func TestHistoFilesServeRegistryHistograms(t *testing.T) {
 }
 
 // TestTraceFileServesSpans checks /mnt/help/trace: spans and events
-// appear as one line each, newest last.
+// appear as one line each, newest last, under the history's stamp.
 func TestTraceFileServesSpans(t *testing.T) {
 	h, fs, _ := attach(t)
 	h.Obs.Event("boot", "ok")
@@ -148,7 +148,7 @@ func TestTraceFileServesSpans(t *testing.T) {
 		t.Fatalf("trace lines = %d, want 3:\n%s", len(lines), data)
 	}
 	// Line 0 is the seq stamp scrapers diff to detect missed windows.
-	if !strings.HasPrefix(lines[0], "# seq 2 cap ") {
+	if lines[0] != "# seq 2 oldest 1" {
 		t.Errorf("stamp line = %q", lines[0])
 	}
 	if !strings.Contains(lines[1], "boot") || !strings.Contains(lines[1], "ok") {
@@ -156,6 +156,16 @@ func TestTraceFileServesSpans(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "exec") || !strings.Contains(lines[2], "date") {
 		t.Errorf("line 2 = %q", lines[2])
+	}
+
+	// Other events move the stamp but add no lines.
+	h.Notify.Publish(1, "body", "gen 2")
+	data, err = fs.ReadFile("/mnt/help/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "# seq 3 oldest 1\n" + lines[1] + "\n" + lines[2] + "\n"; string(data) != want {
+		t.Errorf("after a body event, trace = %q, want %q", data, want)
 	}
 }
 
@@ -185,7 +195,7 @@ func TestObsFilesWithRegistryDetached(t *testing.T) {
 // must attach without the synthetic files and without panics.
 func TestNilRegistryService(t *testing.T) {
 	var r *obs.Registry
-	if r.StatsText() != "" || r.TraceText() != "" {
+	if r.StatsText() != "" {
 		t.Error("nil registry text not empty")
 	}
 }

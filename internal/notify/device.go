@@ -15,7 +15,7 @@ import (
 // A plain open reads the events published after the open, one line
 // each, without ever blocking — vfs drains device reads under the
 // namespace lock, so a read that parked there would stall the whole
-// session. When nothing new is buffered the handle reports EOF; `cat`
+// session. When nothing new has arrived the handle reports EOF; `cat`
 // sees an empty file, not a hang. Blocking arrives through the
 // vfs.WaitDevice extension, which vfs calls outside the namespace lock.
 type Device struct {
@@ -28,14 +28,14 @@ func (d Device) OpenDevice(mode int) (vfs.DeviceFile, error) {
 	if mode&(vfs.OWRITE|vfs.ORDWR) != 0 {
 		return nil, fmt.Errorf("event file is read-only: %w", vfs.ErrPerm)
 	}
-	return &eventFile{sub: d.Bus.Subscribe(d.Win, 0, 0)}, nil
+	return &eventFile{sub: d.Bus.Subscribe(d.Win, 0)}, nil
 }
 
 // ReadWait implements vfs.WaitDevice: the blocking, resumable read the
 // srvnet readwait op and local watchers use. It is called without the
 // namespace lock held and parks on the bus itself.
 func (d Device) ReadWait(since uint64, stop <-chan struct{}, timeout time.Duration) ([]byte, uint64, error) {
-	evs, next, err := d.Bus.ReadSince(d.Win, since, 0, stop, timeout)
+	evs, next, err := d.Bus.ReadSince(d.Win, since, stop, timeout)
 	if err != nil {
 		return nil, next, err
 	}

@@ -6,14 +6,15 @@
 // the Watch built-in — park until something happens.
 //
 // The cardinal rule is that a slow reader can never block the core
-// actor. Publish never waits: each subscriber owns a bounded ring, and
-// when a ring fills the oldest entry is discarded (newest wins) and the
-// subscriber is marked; on its next read it sees a synthesized "gap"
-// event before the retained tail, so it knows to resync. The bus also
-// keeps a bounded history of recent events, which is what makes streams
-// resumable: a reader that remembers the last sequence number it saw
-// can subscribe from there and be backfilled, with the same gap marking
-// if the history has already wrapped past it.
+// actor. Publish never waits: it writes the event into the bus's one
+// bounded history ring, the only place events are kept, and wakes the
+// readers it concerns. A subscriber is a cursor into that ring — the
+// next seq it has not read — so a reader that remembers the last seq it
+// saw resumes from there with nothing duplicated. A reader the ring has
+// lapped sees one synthesized "gap" event counting the events it lost,
+// then the retained tail, so it knows to resync. The obs registry's
+// spans arrive through Sink, so the history is also the session's only
+// store of trace spans, the one /mnt/help/trace is rendered from.
 //
 // Events are one line each on the wire: "<seq> <window> <kind> <detail>".
 // Seq is a bus-wide monotonic counter (never 0 for a real event), window
@@ -43,8 +44,8 @@ type Event struct {
 }
 
 // KindGap is the kind of the synthesized discontinuity marker a reader
-// sees after its ring (or the bus history) overflowed: its detail is
-// "<n> missed", and the events it replaces are gone. A reader that
+// sees after the bus history lapped its cursor: its detail is
+// "<n> missed", n counting the bus events it lost. A reader that
 // needs coherent state re-reads it from the files and resumes from the
 // seqs that follow.
 const KindGap = "gap"
@@ -91,13 +92,13 @@ var (
 	ErrStopped = errors.New("notify: wait stopped")
 )
 
-const (
-	// DefaultHistory is the bus's resume window: how many recent events
-	// survive for late subscribers to be backfilled from.
-	DefaultHistory = 512
-	// DefaultRing is the per-subscriber buffer between publish and read.
-	DefaultRing = 256
-)
+// DefaultHistory is the bus's resume window: how many recent events
+// survive for slow and late readers to read.
+const DefaultHistory = 512
+
+// readBatch caps the events one ReadSince returns; the rest wait for
+// the reader's next call.
+const readBatch = 256
 
 // Bus is the event bus: one per session (plus one daemon-level bus in
 // sessiond). All methods are safe for concurrent use; Publish never
@@ -135,7 +136,7 @@ func NewSized(hist int) *Bus {
 }
 
 // SetObs installs bus counters on r: notify.published, notify.dropped
-// (ring overflow discards), notify.waits (blocking reads entered), and
+// (events lapped readers lost), notify.waits (blocking reads entered), and
 // the notify.subs gauge. Nil removes them.
 func (b *Bus) SetObs(r *obs.Registry) {
 	if b == nil {
@@ -181,9 +182,9 @@ func (b *Bus) Armed() bool {
 	return b != nil && b.armed.Load()
 }
 
-// Publish appends one event to the bus and returns its seq. It never
-// blocks: a full subscriber ring discards its oldest entry and marks
-// the gap.
+// Publish appends one event to the bus history, overwriting the oldest,
+// wakes the subscribers it concerns, and returns its seq. It never
+// blocks: a reader too slow to keep up is lapped, not waited for.
 func (b *Bus) Publish(win int, kind, detail string) uint64 {
 	if b == nil {
 		return 0
@@ -191,9 +192,11 @@ func (b *Bus) Publish(win int, kind, detail string) uint64 {
 	b.mu.Lock()
 	b.seq++
 	ev := Event{Seq: b.seq, Window: win, Kind: kind, Detail: detail}
-	b.hist[int((ev.Seq-1)%uint64(len(b.hist)))] = ev
+	*b.slot(ev.Seq) = ev
 	for s := range b.subs {
-		s.push(ev)
+		if s.win <= 0 || s.win == win {
+			s.signal()
+		}
 	}
 	tap := b.tap
 	b.mu.Unlock()
@@ -215,6 +218,11 @@ func (b *Bus) Seq() uint64 {
 	return b.seq
 }
 
+// slot is the history entry for seq. Caller holds b.mu.
+func (b *Bus) slot(seq uint64) *Event {
+	return &b.hist[(seq-1)%uint64(len(b.hist))]
+}
+
 // oldestLocked is the seq of the oldest event still in history; 0 when
 // the bus has published nothing.
 func (b *Bus) oldestLocked() uint64 {
@@ -224,35 +232,38 @@ func (b *Bus) oldestLocked() uint64 {
 	return b.seq - uint64(len(b.hist)) + 1
 }
 
-// Subscribe registers a reader. win > 0 filters to that window's events;
-// win <= 0 sees everything. ringCap bounds the unread backlog (<= 0 for
-// the default). since is the last seq the reader has already seen: 0
-// means "from now", anything else backfills from the bus history, with
-// a gap recorded if the history has wrapped past it.
-func (b *Bus) Subscribe(win, ringCap int, since uint64) *Sub {
-	if ringCap <= 0 {
-		ringCap = DefaultRing
+// History returns the events still in the bus history, oldest first.
+// It does not arm the bus.
+func (b *Bus) History() []Event {
+	if b == nil {
+		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.armed.Store(true)
-	s := &Sub{
-		b:    b,
-		win:  win,
-		ring: make([]Event, ringCap),
-		wake: make(chan struct{}, 1),
+	oldest := b.oldestLocked()
+	if oldest == 0 {
+		return nil
 	}
+	evs := make([]Event, 0, b.seq-oldest+1)
+	for q := oldest; q <= b.seq; q++ {
+		evs = append(evs, *b.slot(q))
+	}
+	return evs
+}
+
+// Subscribe registers a reader. win > 0 filters to that window's events;
+// win <= 0 sees everything. since is the last seq the reader has already
+// seen: 0 (or a seq past the end) means "from now", anything else reads
+// on from the bus history, starting with a gap marker if the history
+// has already been overwritten past it.
+func (b *Bus) Subscribe(win int, since uint64) *Sub {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.armed.Store(true)
 	if since == 0 || since > b.seq {
 		since = b.seq
 	}
-	s.base = since
-	if oldest := b.oldestLocked(); since+1 < oldest {
-		s.missed = oldest - 1 - since
-		since = oldest - 1
-	}
-	for q := since + 1; q <= b.seq; q++ {
-		s.push(b.hist[int((q-1)%uint64(len(b.hist)))])
-	}
+	s := &Sub{b: b, win: win, next: since + 1, wake: make(chan struct{}, 1)}
 	b.subs[s] = struct{}{}
 	return s
 }
@@ -260,100 +271,77 @@ func (b *Bus) Subscribe(win, ringCap int, since uint64) *Sub {
 // ReadSince is the long-poll primitive srvnet's readwait op and the
 // event devices build on: collect the events after seq since (0 = from
 // now), blocking until at least one arrives, stop closes, or timeout
-// expires. It returns the batch, capped at max, plus the seq to resume
+// expires. It returns at most readBatch events plus the seq to resume
 // from next time. A timeout returns an empty batch and no error — the
 // normal empty poll; the returned seq is still valid to resume from.
-func (b *Bus) ReadSince(win int, since uint64, max int, stop <-chan struct{}, timeout time.Duration) ([]Event, uint64, error) {
-	if max <= 0 {
-		max = DefaultRing
-	}
-	s := b.Subscribe(win, max, since)
+func (b *Bus) ReadSince(win int, since uint64, stop <-chan struct{}, timeout time.Duration) ([]Event, uint64, error) {
+	s := b.Subscribe(win, since)
 	defer s.Close()
-	next := s.base
 	first, err := s.Next(stop, timeout)
-	if err == ErrTimeout {
-		return nil, next, nil
-	}
 	if err != nil {
-		return nil, next, err
+		if err == ErrTimeout {
+			err = nil
+		}
+		return nil, s.next - 1, err
 	}
-	evs := make([]Event, 1, 8)
-	evs[0] = first
-	if first.Seq > next {
-		next = first.Seq
-	}
-	for len(evs) < max {
+	evs := append(make([]Event, 0, 8), first)
+	for len(evs) < readBatch {
 		ev, ok := s.TryNext()
 		if !ok {
 			break
 		}
 		evs = append(evs, ev)
-		if ev.Seq > next {
-			next = ev.Seq
-		}
 	}
-	return evs, next, nil
+	return evs, s.next - 1, nil
 }
 
-// Sub is one subscription: a bounded ring the bus pushes into and the
-// reader drains. All fields are guarded by the bus lock.
+// Sub is one subscription: a cursor into the bus history. next and
+// closed are guarded by the bus lock; only the reading goroutine moves
+// next, so it may read it unlocked.
 type Sub struct {
 	b      *Bus
 	win    int
-	ring   []Event
-	r, n   int
-	missed uint64 // events discarded since the reader last looked
-	base   uint64 // resolved "since" seq at subscribe time
+	next   uint64 // seq of the next event to read
 	closed bool
 	wake   chan struct{} // capacity 1: a wake token, not a queue
 }
 
-// push delivers ev to the ring, discarding the oldest entry when full
-// (newest wins). Runs under the bus lock.
-func (s *Sub) push(ev Event) {
-	if s.win > 0 && ev.Window != s.win {
-		return
-	}
-	if s.n == len(s.ring) {
-		s.ring[s.r] = Event{}
-		s.r = (s.r + 1) % len(s.ring)
-		s.n--
-		s.missed++
-		s.b.cDropped.Inc()
-	}
-	s.ring[(s.r+s.n)%len(s.ring)] = ev
-	s.n++
+// signal leaves a wake token for a parked Next, if none is pending.
+func (s *Sub) signal() {
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
 }
 
-// tryNext pops the next event. Discarded events surface as a gap marker
-// exactly where they were lost: drops always take the oldest retained
-// entry, so everything still in the ring is newer than the gap.
+// tryNext reads the next event for this subscription from the history,
+// skipping other windows' events. A cursor the history has lapped
+// jumps to the oldest retained event and reports the loss as one gap
+// marker first.
 func (s *Sub) tryNext() (Event, bool, error) {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-	if s.missed > 0 {
-		ev := Event{Kind: KindGap, Detail: strconv.FormatUint(s.missed, 10) + " missed"}
-		s.missed = 0
-		return ev, true, nil
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if s.closed {
+		return Event{}, false, ErrClosed
 	}
-	if s.n == 0 {
-		if s.closed {
-			return Event{}, false, ErrClosed
+	if oldest := b.oldestLocked(); s.next < oldest {
+		n := oldest - s.next
+		s.next = oldest
+		b.cDropped.Add(int64(n))
+		return Event{Kind: KindGap, Detail: strconv.FormatUint(n, 10) + " missed"}, true, nil
+	}
+	for s.next <= b.seq {
+		ev := *b.slot(s.next)
+		s.next++
+		if s.win <= 0 || ev.Window == s.win {
+			return ev, true, nil
 		}
-		return Event{}, false, nil
 	}
-	ev := s.ring[s.r]
-	s.ring[s.r] = Event{} // don't pin the strings
-	s.r = (s.r + 1) % len(s.ring)
-	s.n--
-	return ev, true, nil
+	return Event{}, false, nil
 }
 
-// TryNext pops the next buffered event without blocking.
+// TryNext returns the next unread event without blocking.
 func (s *Sub) TryNext() (Event, bool) {
 	ev, ok, _ := s.tryNext()
 	return ev, ok
@@ -398,22 +386,20 @@ func (s *Sub) Close() {
 	s.closed = true
 	delete(s.b.subs, s)
 	s.b.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.signal()
 }
 
-// Sink adapts the bus to obs.Sink so the registry's trace spans and
-// fault events stream into the event feed alongside state changes:
-// every published span becomes a window-0 "trace" event whose detail
-// is "<name> <dur>us <attrs>".
-func (b *Bus) Sink() obs.Sink {
-	return obs.FuncSink(func(sp obs.Span) {
+// Sink returns the span sink (see obs.Registry.SetSink) that makes the
+// bus the only store of the registry's trace spans and fault events:
+// every span becomes a window-0 "trace" event whose detail is
+// "<name> <dur>us <attrs>", streamed to readers alongside state changes
+// and kept in the history that /mnt/help/trace is rendered from.
+func (b *Bus) Sink() func(obs.Span) {
+	return func(sp obs.Span) {
 		detail := sp.Name + " " + strconv.FormatInt(sp.Dur.Microseconds(), 10) + "us"
 		if sp.Attrs != "" {
 			detail += " " + sp.Attrs
 		}
 		b.Publish(0, "trace", detail)
-	})
+	}
 }

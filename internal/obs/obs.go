@@ -1,7 +1,12 @@
 // Package obs is the self-observation substrate: lock-cheap counters,
-// fixed-bucket latency histograms, and a bounded concurrent span ring,
-// collected in a Registry that renders itself as flat text so helpfs
-// can serve it as files under /mnt/help (stats, trace, histo/<name>).
+// fixed-bucket latency histograms, and timed spans, collected in a
+// Registry that renders its counters and histograms as flat text so
+// helpfs can serve them as files under /mnt/help (stats, histo/<name>).
+//
+// Spans are not stored here. A finished span is handed to the one sink
+// installed with SetSink; a session installs its notify bus, whose
+// history is the only place spans are kept and what /mnt/help/trace is
+// rendered from.
 //
 // Everything is nil-safe: a nil *Counter, *Histogram, *Registry, or
 // *ActiveSpan is a no-op, so instrumented code never branches on
@@ -9,9 +14,7 @@
 //
 // The hot-path discipline mirrors the render path's: counters are a
 // single atomic add, histograms are three atomic adds plus a CAS for
-// the max, and spans touch one ring slot with a newest-wins CAS so
-// concurrent writers (srvnet runs off the event loop) never block and
-// never lose a newer span to an older delayed one.
+// the max, and ending a span is one atomic load of the sink.
 package obs
 
 import (
@@ -147,78 +150,15 @@ func (h *Histogram) Text() string {
 }
 
 // Span is one completed trace span (or an instantaneous event, with
-// Dur zero). Spans are values once published; readers never see a span
-// mid-mutation.
+// Dur zero), as handed to the sink.
 type Span struct {
-	Seq   uint64
 	Name  string
 	Attrs string
-	Start time.Time
 	Dur   time.Duration
 }
 
-// Line renders a span as one trace line: seq, name, duration in
-// microseconds, then attrs. The format is stable for scripts.
-func (sp Span) Line() string {
-	if sp.Attrs == "" {
-		return fmt.Sprintf("%d %s %dus", sp.Seq, sp.Name, sp.Dur.Microseconds())
-	}
-	return fmt.Sprintf("%d %s %dus %s", sp.Seq, sp.Name, sp.Dur.Microseconds(), sp.Attrs)
-}
-
-// spanRing is a bounded lock-free ring of the last-N published spans.
-// Each slot holds an immutable *Span; writers claim a sequence number
-// with one atomic add and install with a CAS that only ever replaces
-// an older span, so a delayed writer can't clobber a newer one that
-// lapped it.
-type spanRing struct {
-	slots []atomic.Pointer[Span]
-	seq   atomic.Uint64
-}
-
-func (r *spanRing) put(sp *Span) {
-	sp.Seq = r.seq.Add(1)
-	slot := &r.slots[(sp.Seq-1)%uint64(len(r.slots))]
-	for {
-		old := slot.Load()
-		if old != nil && old.Seq > sp.Seq {
-			return // a newer span already lapped this slot
-		}
-		if slot.CompareAndSwap(old, sp) {
-			return
-		}
-	}
-}
-
-func (r *spanRing) spans() []Span {
-	out := make([]Span, 0, len(r.slots))
-	for i := range r.slots {
-		if sp := r.slots[i].Load(); sp != nil {
-			out = append(out, *sp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// Sink receives every published span, for streaming trace output
-// beyond the bounded ring (a file, a network feed, a test recorder).
-type Sink interface {
-	Emit(Span)
-}
-
-// FuncSink adapts a function to the Sink interface.
-type FuncSink func(Span)
-
-func (f FuncSink) Emit(sp Span) { f(sp) }
-
-// DefaultSpanCap is the trace ring size used by New: enough to hold a
-// whole interactive burst (a gesture storm plus the execs and faults
-// it triggers) without growing unbounded.
-const DefaultSpanCap = 256
-
 // Registry owns a process's named counters, histograms, gauges, and
-// the span ring. All methods are safe for concurrent use; name lookup
+// span sink. All methods are safe for concurrent use; name lookup
 // takes a mutex but instrumented code resolves names once and then
 // touches only atomics.
 type Registry struct {
@@ -226,23 +166,15 @@ type Registry struct {
 	counters map[string]*Counter
 	histos   map[string]*Histogram
 	gauges   map[string]func() int64
-	ring     spanRing
-	sink     atomic.Pointer[Sink]
+	sink     atomic.Pointer[func(Span)]
 }
 
-// New returns a Registry with the default trace ring capacity.
-func New() *Registry { return NewSized(DefaultSpanCap) }
-
-// NewSized returns a Registry whose trace ring holds spanCap spans.
-func NewSized(spanCap int) *Registry {
-	if spanCap < 1 {
-		spanCap = 1
-	}
+// New returns an empty Registry with no sink.
+func New() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		histos:   map[string]*Histogram{},
 		gauges:   map[string]func() int64{},
-		ring:     spanRing{slots: make([]atomic.Pointer[Span], spanCap)},
 	}
 }
 
@@ -304,23 +236,23 @@ func (r *Registry) HistogramNames() []string {
 	return names
 }
 
-// SetSink installs a streaming receiver for published spans (nil to
-// remove). The ring keeps working either way.
-func (r *Registry) SetSink(s Sink) {
+// SetSink installs the function every finished span is handed to (nil
+// to remove it); without one, spans are timed and dropped. fn runs on
+// the goroutine that ends the span and must not block.
+func (r *Registry) SetSink(fn func(Span)) {
 	if r == nil {
 		return
 	}
-	if s == nil {
+	if fn == nil {
 		r.sink.Store(nil)
 		return
 	}
-	r.sink.Store(&s)
+	r.sink.Store(&fn)
 }
 
-func (r *Registry) publish(sp *Span) {
-	r.ring.put(sp)
-	if s := r.sink.Load(); s != nil {
-		(*s).Emit(*sp)
+func (r *Registry) publish(sp Span) {
+	if fn := r.sink.Load(); fn != nil {
+		(*fn)(sp)
 	}
 }
 
@@ -349,7 +281,7 @@ func (a *ActiveSpan) End() time.Duration {
 		return 0
 	}
 	d := time.Since(a.start)
-	a.r.publish(&Span{Name: a.name, Attrs: a.attrs, Start: a.start, Dur: d})
+	a.r.publish(Span{Name: a.name, Attrs: a.attrs, Dur: d})
 	return d
 }
 
@@ -359,44 +291,7 @@ func (r *Registry) Event(name, attrs string) {
 	if r == nil {
 		return
 	}
-	r.publish(&Span{Name: name, Attrs: attrs, Start: time.Now()})
-}
-
-// Spans returns the ring contents in ascending sequence order.
-func (r *Registry) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	return r.ring.spans()
-}
-
-// Seq returns the seq of the most recently published span (0 if none).
-// Trace and stats snapshots are stamped with it so a scraper comparing
-// consecutive reads can tell whether the ring wrapped in between —
-// i.e. whether it missed a window of spans.
-func (r *Registry) Seq() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.ring.seq.Load()
-}
-
-// TraceText renders the ring as one span per line, oldest first: the
-// byte content of /mnt/help/trace. The first line is a comment stamp,
-// "# seq <n> cap <ring capacity>": a scraper whose previous read ended
-// at seq m has missed spans iff n - m > the number of span lines that
-// follow (the ring wrapped past it).
-func (r *Registry) TraceText() string {
-	if r == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# seq %d cap %d\n", r.Seq(), len(r.ring.slots))
-	for _, sp := range r.Spans() {
-		b.WriteString(sp.Line())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	r.publish(Span{Name: name, Attrs: attrs})
 }
 
 // StatsMap returns every counter, gauge, and histogram summary as a
@@ -421,9 +316,7 @@ func (r *Registry) StatsMap() map[string]int64 {
 	}
 	r.mu.Unlock()
 
-	out := make(map[string]int64, len(counters)+len(gauges)+3*len(histos)+1)
-	// The stamp scrapers diff to detect missed trace windows; see Seq.
-	out["obs.seq"] = int64(r.Seq())
+	out := make(map[string]int64, len(counters)+len(gauges)+3*len(histos))
 	for name, c := range counters {
 		out[name] = c.Load()
 	}

@@ -82,7 +82,8 @@ func (m *Manager) TotalProcs() int {
 // memGate is installed into every hosted session via core.SetMemGate:
 // consulted (with the projected resident-byte increase) before a large
 // body load, under that session's actor lock. Refusals count
-// daemon.budget.refused.mem.
+// daemon.budget.refused.mem and publish a "limit" event on the daemon
+// bus.
 func (m *Manager) memGate(addBytes int64) error {
 	if m.cfg.MaxBytes <= 0 {
 		return nil
@@ -92,9 +93,7 @@ func (m *Manager) memGate(addBytes int64) error {
 	m.mu.Unlock()
 	if total+addBytes > m.cfg.MaxBytes {
 		m.cMemRefused.Inc()
-		if m.cfg.Obs != nil {
-			m.cfg.Obs.Event("limit", fmt.Sprintf("daemon memory budget: %d+%d > %d bytes", total, addBytes, m.cfg.MaxBytes))
-		}
+		m.bus.Publish(0, "limit", fmt.Sprintf("daemon memory budget: %d+%d > %d bytes", total, addBytes, m.cfg.MaxBytes))
 		return m.busy(fmt.Sprintf("sessiond: daemon memory budget (%d bytes) spent", m.cfg.MaxBytes))
 	}
 	return nil
@@ -102,7 +101,8 @@ func (m *Manager) memGate(addBytes int64) error {
 
 // procGate is installed into every hosted session via core.SetProcGate:
 // consulted after the per-session MaxProcs bound, before launching a
-// command. Refusals count daemon.budget.refused.proc.
+// command. Refusals count daemon.budget.refused.proc and publish a
+// "limit" event on the daemon bus.
 func (m *Manager) procGate() error {
 	if m.cfg.MaxTotalProcs <= 0 {
 		return nil
@@ -112,9 +112,7 @@ func (m *Manager) procGate() error {
 	m.mu.Unlock()
 	if total >= m.cfg.MaxTotalProcs {
 		m.cProcRefused.Inc()
-		if m.cfg.Obs != nil {
-			m.cfg.Obs.Event("limit", fmt.Sprintf("daemon command budget: %d live, max %d", total, m.cfg.MaxTotalProcs))
-		}
+		m.bus.Publish(0, "limit", fmt.Sprintf("daemon command budget: %d live, max %d", total, m.cfg.MaxTotalProcs))
 		return m.busy(fmt.Sprintf("sessiond: daemon command budget (%d live) spent", m.cfg.MaxTotalProcs))
 	}
 	return nil

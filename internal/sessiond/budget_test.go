@@ -79,6 +79,19 @@ func TestDaemonMemBudgetRefusesAcrossSessions(t *testing.T) {
 	if r.Counter("daemon.budget.refused.mem").Load() == 0 {
 		t.Fatal("daemon.budget.refused.mem not counted")
 	}
+	assertLimitEvent(t, m)
+}
+
+// assertLimitEvent fails unless the daemon stream retains a budget
+// refusal's "limit" event.
+func assertLimitEvent(t *testing.T, m *Manager) {
+	t.Helper()
+	for _, ev := range m.Bus().History() {
+		if ev.Kind == "limit" {
+			return
+		}
+	}
+	t.Errorf("no limit event on the daemon stream: %v", m.Bus().History())
 }
 
 // While the daemon's memory budget is spent, brand-new sessions are
@@ -169,6 +182,7 @@ func TestDaemonProcBudgetRefusesAcrossSessions(t *testing.T) {
 	if n := hb.ProcCount(); n != 0 {
 		t.Fatalf("refused command still started: ProcCount = %d", n)
 	}
+	assertLimitEvent(t, m)
 
 	// Free the slot; session b is admitted again.
 	closeOnce(blockA)

@@ -13,7 +13,7 @@ import (
 // every session at once.
 func TestDaemonStreamCoversLifecycle(t *testing.T) {
 	m, rec := newManager(t, nil)
-	sub := m.Bus().Subscribe(0, 0, 0)
+	sub := m.Bus().Subscribe(0, 0)
 	defer sub.Close()
 
 	fsA, detach, err := m.AttachSession("a")
@@ -50,7 +50,7 @@ func TestDaemonStreamCoversLifecycle(t *testing.T) {
 // visible on the same stream.
 func TestDaemonStreamReportsCrashAndDrain(t *testing.T) {
 	m, rec := newManager(t, nil)
-	sub := m.Bus().Subscribe(0, 0, 0)
+	sub := m.Bus().Subscribe(0, 0)
 	defer sub.Close()
 
 	if _, _, err := m.AttachSession("a"); err != nil {

@@ -72,11 +72,6 @@ type Config struct {
 	JournalRoot string
 	// Fsync is the journal durability policy.
 	Fsync journal.Policy
-	// MaxProcs, ErrorsCap, QueueDepth are per-session hard limits,
-	// applied via core.SetLimits. Zeroes keep the core defaults.
-	MaxProcs   int
-	ErrorsCap  int
-	QueueDepth int
 	// MaxSessionBytes caps each session's resident buffer bytes
 	// (core.Limits.MaxBytes). Zero keeps the core default (unlimited).
 	MaxSessionBytes int64
@@ -90,8 +85,8 @@ type Config struct {
 	// admission while the budget is spent. Zero means unbounded.
 	MaxBytes int64
 	// MaxTotalProcs bounds live external commands summed across
-	// sessions, checked after each session's own MaxProcs. Zero means
-	// unbounded.
+	// sessions, checked after each session's own core.Limits.MaxProcs.
+	// Zero means unbounded.
 	MaxTotalProcs int
 	// RetryAfter is the hint stamped on budget refusals; zero means
 	// DefaultRetryAfter.
@@ -345,9 +340,6 @@ func (m *Manager) spawn(s *session) {
 	m.mu.Unlock()
 	close(s.ready)
 	if err != nil {
-		if m.cfg.Obs != nil {
-			m.cfg.Obs.Event("sessiond.spawn-failed", s.name+": "+err.Error())
-		}
 		m.bus.Publish(0, "spawn-failed", s.name+": "+err.Error())
 	} else {
 		m.bus.Publish(0, "spawn", s.name)
@@ -371,9 +363,6 @@ func (m *Manager) build(name string) (*world.World, *journal.Writer, *journal.Di
 	}
 	h := w.Help
 	h.SetLimits(core.Limits{
-		MaxProcs:    m.cfg.MaxProcs,
-		ErrorsCap:   m.cfg.ErrorsCap,
-		QueueDepth:  m.cfg.QueueDepth,
 		MaxBytes:    m.cfg.MaxSessionBytes,
 		MaxResident: m.cfg.MaxResident,
 	})
@@ -512,9 +501,6 @@ func (m *Manager) markCrashed(name, reason string) {
 	h := s.w.Help
 	m.mu.Unlock()
 	m.cCrashes.Inc()
-	if m.cfg.Obs != nil {
-		m.cfg.Obs.Event("sessiond.crash", name+": "+reason)
-	}
 	m.bus.Publish(0, "crash", name+": "+reason)
 	go h.KillAll()
 }
