@@ -1,23 +1,30 @@
 # Convenience targets for the help reproduction.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all test vet bench figs tables race stress soak chaos fuzz cover clean
+.PHONY: all test vet fmtcheck bench figs tables race stress soak chaos fuzz cover clean
 
 all: test
 
-# Tier-1: build, vet, plain tests, then a race-checked pass so the
-# concurrent srvnet/faultnet paths are exercised on every PR. The
-# chaos harness rides along as a small smoke (24 users); `make chaos`
-# runs the full fleet.
-test:
+# Tier-1: gofmt check, build, vet, plain tests, then a race-checked
+# pass so the concurrent srvnet/faultnet paths are exercised on every
+# change. The chaos harness rides along as a small smoke (24 users);
+# `make chaos` runs the full fleet.
+test: fmtcheck
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./...
 
 race:
 	$(GO) test -race ./...
 
-vet:
+vet: fmtcheck
 	$(GO) vet ./...
+
+# Fail when gofmt would change any Go file of the main module
+# (perfbench/ is a module of its own; testdata is not compiled).
+fmtcheck:
+	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './perfbench/*' -not -path './.*' -not -path '*/testdata/*')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # Bench evidence loop: run the suite serially three times (separate
 # passes, minutes apart, so a noisy-neighbor phase can't taint every

@@ -190,12 +190,11 @@ type Help struct {
 	// sessions without taking every actor lock.
 	mMemRunes obs.Counter
 
-	// maxProcs and errorsCap are the per-session resource bounds
-	// installed by SetLimits; errorsCap is always positive. maxBytes
-	// caps the session's resident buffer bytes (0: unlimited).
-	maxProcs  int
-	errorsCap int
-	maxBytes  int64
+	// maxProcs and maxBytes are the per-session resource bounds
+	// installed by SetLimits. maxBytes caps the session's resident
+	// buffer bytes (0: unlimited).
+	maxProcs int
+	maxBytes int64
 
 	// maxResident is the paged-text threshold and per-buffer residency
 	// cap: bodies larger than this open as piece tables over lazily
@@ -263,7 +262,6 @@ func New(fs *vfs.FS, sh *shell.Shell, w, h int) *Help {
 		procs:  map[int]*proc{},
 		Notify: notify.New(),
 	}
-	h9.errorsCap = defaultErrorsCap
 	h9.maxResident = DefaultMaxResident
 	h9.safeFS = fs.Serialized(&h9.mu)
 	h9.procIdle = sync.NewCond(&h9.mu)
@@ -680,7 +678,7 @@ func (h *Help) errorsWin() *Window {
 
 // defaultErrorsCap bounds the Errors window body (in runes): a chatty
 // failing command trims old output from the front instead of eating
-// memory. SetLimits can lower it per session.
+// memory.
 const defaultErrorsCap = 64 * 1024
 
 // Limits are per-session resource bounds. A zero field keeps the
@@ -691,12 +689,6 @@ type Limits struct {
 	// MaxProcs caps live external commands; further launches are
 	// refused with a line in Errors. Negative means unlimited.
 	MaxProcs int
-	// ErrorsCap caps the Errors window body, in runes.
-	ErrorsCap int
-	// QueueDepth resizes the apply queue. Only honored while the
-	// session is quiescent (no commands in flight); set it right after
-	// New, before serving.
-	QueueDepth int
 	// MaxBytes caps the session's resident buffer bytes (tags plus
 	// bodies, at MemBytesPerRune per rune): a body load that would
 	// exceed it is refused with a typed busy error instead of letting
@@ -718,9 +710,6 @@ func (h *Help) SetLimits(l Limits) {
 	if l.MaxProcs != 0 {
 		h.maxProcs = l.MaxProcs
 	}
-	if l.ErrorsCap > 0 {
-		h.errorsCap = l.ErrorsCap
-	}
 	if l.MaxBytes != 0 {
 		h.maxBytes = l.MaxBytes
 		if l.MaxBytes < 0 {
@@ -732,10 +721,6 @@ func (h *Help) SetLimits(l Limits) {
 		if l.MaxResident < 0 {
 			h.maxResident = 0
 		}
-	}
-	if l.QueueDepth > 0 && l.QueueDepth != cap(h.applyq) &&
-		h.loopActive.Load() == 0 && len(h.applyq) == 0 && len(h.procs) == 0 {
-		h.applyq = make(chan func(), l.QueueDepth)
 	}
 }
 
@@ -820,7 +805,7 @@ func (h *Help) MemBytes() int64 { return h.mMemRunes.Load() * MemBytesPerRune }
 
 // AppendErrors appends text to the Errors window, trimming from the
 // front — at a line boundary when possible — once the body exceeds
-// errorsCap.
+// defaultErrorsCap.
 func (h *Help) AppendErrors(s string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -834,7 +819,7 @@ func (h *Help) appendErrors(s string) {
 	w := h.errorsWin()
 	w.Body.Insert(w.Body.Len(), s)
 	w.Body.Commit()
-	if over := w.Body.Len() - h.errorsCap; over > 0 {
+	if over := w.Body.Len() - defaultErrorsCap; over > 0 {
 		cut := over
 		// Round the cut up to the next line start so the window never
 		// opens mid-line; one huge line falls back to an exact trim.

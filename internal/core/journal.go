@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -29,10 +28,12 @@ import (
 //   - Namespace mutations (Put, tool output, mkdir, bind) arrive
 //     through vfs's mutation hook as OpFile records.
 //
-// Recovery = restore the latest checkpoint snapshot, then apply the op
-// tail. Undo history and interaction metrics are deliberately not
-// journaled: they are reconstruction conveniences, not session state,
-// and their loss across a crash is documented behaviour.
+// A checkpoint is the list of ops that rebuilds the whole session from
+// an empty one (checkpointOps), so recovery = empty the session, then
+// apply the checkpoint's ops and the op tail after it through one replay
+// path, applyOp. Undo history and interaction metrics are deliberately
+// not journaled: they are reconstruction conveniences, not session
+// state, and their loss across a crash is documented behaviour.
 
 // Recorder connects a Help instance to a journal.Writer.
 type Recorder struct {
@@ -90,7 +91,7 @@ func (h *Help) AttachJournal(jw *journal.Writer, checkpointEvery int) *Recorder 
 		rec.insertOrder(w.ID)
 	}
 	rec.split = h.cols[0].r.Max.X
-	rec.curWin, rec.curSub = rec.currentIDs()
+	rec.curWin, rec.curSub = h.currentIDs()
 	rec.snarf = h.snarf
 	rec.errorsID = h.errorsID()
 
@@ -110,7 +111,7 @@ func (h *Help) AttachJournal(jw *journal.Writer, checkpointEvery int) *Recorder 
 	}
 	h.FS.SetOnMutate(rec.fsMutated)
 
-	jw.Checkpoint(encodeSnapshot(h))
+	jw.Checkpoint(checkpointOps(h))
 	return rec
 }
 
@@ -122,11 +123,13 @@ func (h *Help) Journal() *journal.Writer {
 	return h.rec.w
 }
 
-func (rec *Recorder) currentIDs() (int, int) {
-	if rec.h.curWin == nil {
+// currentIDs is the focus: the current window's id and subwindow, 0, 0
+// for none.
+func (h *Help) currentIDs() (int, int) {
+	if h.curWin == nil {
 		return 0, 0
 	}
-	return rec.h.curWin.ID, rec.h.curSub
+	return h.curWin.ID, h.curSub
 }
 
 // errorsID is the live Errors window's id, 0 when none exists.
@@ -235,7 +238,7 @@ func (h *Help) JournalSweep() {
 func (rec *Recorder) sweep() {
 	h := rec.h
 
-	if cw, cs := rec.currentIDs(); cw != rec.curWin || cs != rec.curSub {
+	if cw, cs := h.currentIDs(); cw != rec.curWin || cs != rec.curSub {
 		rec.curWin, rec.curSub = cw, cs
 		rec.emit(&journal.Op{Kind: journal.OpCurrent, Win: cw, Sub: cs})
 	}
@@ -276,14 +279,8 @@ func (rec *Recorder) sweep() {
 		col := h.colIndex(w.col)
 		if col != sh.col || w.top != sh.top || w.hidden != sh.hidden || w.IsDir != sh.isDir {
 			sh.col, sh.top, sh.hidden, sh.isDir = col, w.top, w.hidden, w.IsDir
-			bits := 0
-			if w.hidden {
-				bits |= 1
-			}
-			if w.IsDir {
-				bits |= 2
-			}
-			rec.emit(&journal.Op{Kind: journal.OpPlace, Win: w.ID, P0: col, P1: w.top, P2: bits})
+			op := placeOp(w, col)
+			rec.emit(&op)
 		}
 		if w.bodyOrg != sh.org {
 			sh.org = w.bodyOrg
@@ -302,8 +299,20 @@ func (rec *Recorder) sweep() {
 	}
 	if rec.since >= rec.every {
 		rec.since = 0
-		rec.w.Checkpoint(encodeSnapshot(h))
+		rec.w.Checkpoint(checkpointOps(h))
 	}
+}
+
+// placeOp journals w's placement in column col.
+func placeOp(w *Window, col int) journal.Op {
+	bits := 0
+	if w.hidden {
+		bits |= 1
+	}
+	if w.IsDir {
+		bits |= 2
+	}
+	return journal.Op{Kind: journal.OpPlace, Win: w.ID, P0: col, P1: w.top, P2: bits}
 }
 
 // recoverPanic is deferred by the event loop and command executor: a
@@ -371,120 +380,67 @@ func (h *Help) SyncJournal() error {
 		return nil
 	}
 	h.JournalSweep()
-	snap := encodeSnapshot(h)
+	ops := checkpointOps(h)
 	h.mu.Unlock()
 	// Enqueue outside the lock: a full journal queue must never stall
 	// the actor.
-	rec.w.Checkpoint(snap)
+	rec.w.Checkpoint(ops)
 	return rec.w.Flush()
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint snapshots.
+// Checkpoints.
 
-const snapMagic = "HELPSNAP"
-const snapVersion = 1
-
-type snapWindow struct {
-	id       int
-	col      int
-	top      int
-	hidden   bool
-	isDir    bool
-	org      int
-	tag      string
-	body     string
-	sel      [2]Selection
-	modified bool
-}
-
-type snapshot struct {
-	width, height int
-	split         int
-	nextID        int
-	curWin        int
-	curSub        int
-	snarf         string
-	errorsID      int
-	windows       []snapWindow
-	files         []vfs.DumpEntry
-	binds         map[string][]string
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendInt(dst []byte, v int) []byte {
-	return binary.AppendVarint(dst, int64(v))
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// encodeSnapshot serializes the whole session: geometry, windows
-// (full text, selections, flags), focus, snarf, and the namespace.
-func encodeSnapshot(h *Help) []byte {
+// checkpointOps lists the ops that rebuild h's session from an empty
+// one, in replay order: OpSession (screen size, next window id), the
+// column split, the namespace — an OpFile mkdir or write per Dump entry,
+// then one bind per union member, Replace for the first and After for
+// the rest — then per window in id order its creation, tag and body
+// text, placement, scroll, both selections and clean flag, and last the
+// focus, the snarf buffer and the Errors window. Under the actor lock it
+// copies only each buffer's text and the namespace's contents; the
+// journal's writer goroutine encodes the list.
+func checkpointOps(h *Help) []journal.Op {
 	sw, sh := h.screen.Size()
-	b := []byte(snapMagic)
-	b = binary.AppendUvarint(b, snapVersion)
-	b = appendInt(b, sw)
-	b = appendInt(b, sh)
-	b = appendInt(b, h.cols[0].r.Max.X)
-	b = appendInt(b, h.nextID)
-	cw, cs := 0, 0
-	if h.curWin != nil {
-		cw, cs = h.curWin.ID, h.curSub
-	}
-	b = appendInt(b, cw)
-	b = appendInt(b, cs)
-	b = appendStr(b, h.snarf)
-	eid := 0
-	if h.errors != nil {
-		eid = h.errors.ID
-	}
-	b = appendInt(b, eid)
-
-	wins := h.windows()
-	b = appendInt(b, len(wins))
-	for _, w := range wins {
-		b = appendInt(b, w.ID)
-		b = appendInt(b, h.colIndex(w.col))
-		b = appendInt(b, w.top)
-		b = appendBool(b, w.hidden)
-		b = appendBool(b, w.IsDir)
-		b = appendInt(b, w.bodyOrg)
-		b = appendStr(b, w.Tag.String())
-		b = appendStr(b, w.Body.String())
-		for sub := 0; sub < 2; sub++ {
-			b = appendInt(b, w.Sel[sub].Q0)
-			b = appendInt(b, w.Sel[sub].Q1)
-		}
-		b = appendBool(b, w.Body.Modified())
-	}
-
 	files, binds := h.FS.Dump()
-	b = appendInt(b, len(files))
+	wins := h.windows()
+	ops := make([]journal.Op, 0, 5+len(files)+2*len(binds)+8*len(wins))
+	ops = append(ops,
+		journal.Op{Kind: journal.OpSession, P0: sw, P1: sh, P2: h.nextID},
+		journal.Op{Kind: journal.OpColSplit, P0: h.cols[0].r.Max.X})
 	for _, e := range files {
-		b = appendStr(b, e.Path)
-		b = appendBool(b, e.Dir)
-		b = appendStr(b, string(e.Data))
-	}
-	b = appendInt(b, len(binds))
-	for _, mp := range sortedKeys(binds) {
-		b = appendStr(b, mp)
-		srcs := binds[mp]
-		b = appendInt(b, len(srcs))
-		for _, s := range srcs {
-			b = appendStr(b, s)
+		if e.Dir {
+			ops = append(ops, journal.Op{Kind: journal.OpFile, P0: int(vfs.MutMkdir), Str1: e.Path})
+		} else {
+			ops = append(ops, journal.Op{Kind: journal.OpFile, P0: int(vfs.MutWrite), Str1: e.Path, Str2: string(e.Data)})
 		}
 	}
-	return b
+	for _, mp := range sortedKeys(binds) {
+		for i, src := range binds[mp] {
+			flag := vfs.After
+			if i == 0 {
+				flag = vfs.Replace
+			}
+			ops = append(ops, journal.Op{Kind: journal.OpFile, P0: int(vfs.MutBind), P1: int(flag), Str1: src, Str2: mp})
+		}
+	}
+	for _, w := range wins {
+		id := w.ID
+		ops = append(ops,
+			journal.Op{Kind: journal.OpNewWin, Win: id, Flag: w.IsDir},
+			journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubTag, Str1: w.Tag.String()},
+			journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubBody, Str1: w.Body.String()},
+			placeOp(w, h.colIndex(w.col)),
+			journal.Op{Kind: journal.OpScroll, Win: id, P0: w.bodyOrg},
+			journal.Op{Kind: journal.OpSelect, Win: id, Sub: SubTag, P0: w.Sel[SubTag].Q0, P1: w.Sel[SubTag].Q1},
+			journal.Op{Kind: journal.OpSelect, Win: id, Sub: SubBody, P0: w.Sel[SubBody].Q0, P1: w.Sel[SubBody].Q1},
+			journal.Op{Kind: journal.OpClean, Win: id, Flag: !w.Body.Modified()})
+	}
+	cw, cs := h.currentIDs()
+	return append(ops,
+		journal.Op{Kind: journal.OpCurrent, Win: cw, Sub: cs},
+		journal.Op{Kind: journal.OpSnarf, Str1: h.snarf},
+		journal.Op{Kind: journal.OpErrors, Win: h.errorsID()})
 }
 
 func sortedKeys(m map[string][]string) []string {
@@ -494,149 +450,6 @@ func sortedKeys(m map[string][]string) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// snapDecoder is a bounds-checked cursor; errSnap on any overrun.
-var errSnap = errors.New("core: malformed checkpoint snapshot")
-
-type snapDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *snapDecoder) int() int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 || v < int64(-1<<31) || v > int64(1<<31) {
-		d.err = errSnap
-		return 0
-	}
-	d.off += n
-	return int(v)
-}
-
-func (d *snapDecoder) uint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.err = errSnap
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *snapDecoder) str() string {
-	n := d.uint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.err = errSnap
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *snapDecoder) bool() bool {
-	if d.err != nil || d.off >= len(d.b) {
-		d.err = errSnap
-		return false
-	}
-	c := d.b[d.off]
-	d.off++
-	return c != 0
-}
-
-func decodeSnapshot(b []byte) (*snapshot, error) {
-	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return nil, errSnap
-	}
-	d := snapDecoder{b: b, off: len(snapMagic)}
-	if v := d.uint(); d.err == nil && v != snapVersion {
-		return nil, fmt.Errorf("core: checkpoint snapshot version %d not supported", v)
-	}
-	s := &snapshot{}
-	s.width = d.int()
-	s.height = d.int()
-	s.split = d.int()
-	s.nextID = d.int()
-	s.curWin = d.int()
-	s.curSub = d.int()
-	s.snarf = d.str()
-	s.errorsID = d.int()
-	nw := d.int()
-	if d.err != nil || nw < 0 || nw > 1<<20 {
-		return nil, errSnap
-	}
-	for i := 0; i < nw; i++ {
-		var w snapWindow
-		w.id = d.int()
-		w.col = d.int()
-		w.top = d.int()
-		w.hidden = d.bool()
-		w.isDir = d.bool()
-		w.org = d.int()
-		w.tag = d.str()
-		w.body = d.str()
-		for sub := 0; sub < 2; sub++ {
-			w.sel[sub].Q0 = d.int()
-			w.sel[sub].Q1 = d.int()
-		}
-		w.modified = d.bool()
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.windows = append(s.windows, w)
-	}
-	nf := d.int()
-	if d.err != nil || nf < 0 || nf > 1<<24 {
-		return nil, errSnap
-	}
-	for i := 0; i < nf; i++ {
-		var e vfs.DumpEntry
-		e.Path = d.str()
-		e.Dir = d.bool()
-		data := d.str()
-		if !e.Dir {
-			e.Data = []byte(data)
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.files = append(s.files, e)
-	}
-	nb := d.int()
-	if d.err != nil || nb < 0 || nb > 1<<20 {
-		return nil, errSnap
-	}
-	s.binds = make(map[string][]string, nb)
-	for i := 0; i < nb; i++ {
-		mp := d.str()
-		ns := d.int()
-		if d.err != nil || ns < 0 || ns > 1<<16 {
-			return nil, errSnap
-		}
-		srcs := make([]string, 0, ns)
-		for j := 0; j < ns; j++ {
-			srcs = append(srcs, d.str())
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.binds[mp] = srcs
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return s, nil
 }
 
 // ---------------------------------------------------------------------
@@ -652,13 +465,14 @@ type RecoverResult struct {
 	Elapsed    time.Duration
 }
 
-// RecoverSession restores h from the journal in fsys: the latest
-// checkpoint, then the op tail in generation order. It must be called
-// on a freshly built help (before AttachJournal); existing windows are
-// closed and replaced by the recovered session. Any inconsistency —
-// malformed snapshot, op referencing an unknown window, out-of-range
-// splice — aborts with an error; nothing in here panics, whatever the
-// journal contains.
+// RecoverSession restores h from the journal in fsys: it closes h's
+// windows, empties its namespace, and applies the latest checkpoint's
+// ops and then the op tail in generation order, all through applyOp. It
+// must be called on a freshly built help (before AttachJournal); the
+// checkpoint must be for a screen of h's size. Any inconsistency — a
+// malformed record, an op referencing an unknown window, an
+// out-of-range splice — aborts with an error; nothing in here panics,
+// whatever the journal contains.
 func RecoverSession(h *Help, fsys journal.Fsys) (res *RecoverResult, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -669,26 +483,29 @@ func RecoverSession(h *Help, fsys journal.Fsys) (res *RecoverResult, err error) 
 	if err != nil {
 		return nil, err
 	}
-	if st.Checkpoint == nil {
+	if len(st.Checkpoint) == 0 || st.Checkpoint[0].Kind != journal.OpSession {
 		return nil, errors.New("core: journal has no checkpoint to recover from")
+	}
+	sess := st.Checkpoint[0]
+	if sw, sh := h.screen.Size(); sw != sess.P0 || sh != sess.P1 {
+		return nil, fmt.Errorf("core: journal is for a %dx%d screen, this help is %dx%d",
+			sess.P0, sess.P1, sw, sh)
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("core: recovery panicked: %v", r)
 		}
 	}()
-	timer := journal.StartReplay(h.Obs)
+	t0 := time.Now()
 
-	snap, err := decodeSnapshot(st.Checkpoint)
-	if err != nil {
-		return nil, err
+	for _, w := range h.windows() {
+		h.closeWindow(w)
 	}
-	if sw, sh := h.screen.Size(); sw != snap.width || sh != snap.height {
-		return nil, fmt.Errorf("core: journal is for a %dx%d screen, this help is %dx%d",
-			snap.width, snap.height, sw, sh)
-	}
-	if err := restoreSnapshot(h, snap); err != nil {
-		return nil, err
+	h.FS.Reset()
+	for i := range st.Checkpoint {
+		if err := applyOp(h, &st.Checkpoint[i]); err != nil {
+			return nil, fmt.Errorf("core: replaying checkpoint op %d: %w", i, err)
+		}
 	}
 	for i := range st.Ops {
 		if err := applyOp(h, &st.Ops[i]); err != nil {
@@ -696,55 +513,16 @@ func RecoverSession(h *Help, fsys journal.Fsys) (res *RecoverResult, err error) 
 		}
 	}
 	h.render()
+	elapsed := time.Since(t0)
+	h.Obs.Histogram("journal.replay").Observe(elapsed)
 	return &RecoverResult{
 		Ops:        len(st.Ops),
 		CkptGen:    st.CkptGen,
 		MaxGen:     st.MaxGen,
 		Torn:       st.Torn,
 		TornReason: st.TornReason,
-		Elapsed:    timer.Done(),
+		Elapsed:    elapsed,
 	}, nil
-}
-
-// restoreSnapshot replaces h's session state with the snapshot's.
-func restoreSnapshot(h *Help, snap *snapshot) error {
-	for _, w := range h.windows() {
-		h.closeWindow(w)
-	}
-	if len(h.cols) == 2 && snap.split > 0 {
-		h.cols[0].r.Max.X = snap.split
-		h.cols[1].r.Min.X = snap.split
-	}
-	if err := h.FS.RestoreDump(snap.files, snap.binds); err != nil {
-		return err
-	}
-	for i := range snap.windows {
-		sw := &snap.windows[i]
-		if sw.id <= 0 || h.byID[sw.id] != nil {
-			return fmt.Errorf("snapshot window id %d invalid or duplicate", sw.id)
-		}
-		w := h.adoptWindow(sw.id)
-		w.Tag.Load(sw.tag)
-		w.Body.Load(sw.body)
-		if sw.modified {
-			w.Body.SetDirty()
-		}
-		placeAdopted(h, w, sw.col, sw.top, sw.hidden, sw.isDir)
-		w.bodyOrg = clampOrg(sw.org, w.Body.Len())
-		for sub := 0; sub < 2; sub++ {
-			w.Sel[sub] = clampSel(sw.sel[sub], w.Buffer(sub).Len())
-		}
-	}
-	if snap.nextID > h.nextID {
-		h.nextID = snap.nextID
-	}
-	h.curWin, h.curSub = nil, 0
-	if cw := h.byID[snap.curWin]; cw != nil {
-		h.curWin, h.curSub = cw, snap.curSub
-	}
-	h.snarf = snap.snarf
-	h.errors = h.byID[snap.errorsID]
-	return nil
 }
 
 // adoptWindow recreates a journaled window under its original id,
@@ -813,6 +591,11 @@ func applyOp(h *Help, op *journal.Op) error {
 		return w, nil
 	}
 	switch op.Kind {
+	case journal.OpSession:
+		// RecoverSession checked the screen size before replay began.
+		if op.P2 > h.nextID {
+			h.nextID = op.P2
+		}
 	case journal.OpSplice:
 		w, err := needWin()
 		if err != nil {
@@ -916,7 +699,9 @@ func applyFileOp(h *Help, op *journal.Op) error {
 	case vfs.MutMkdir:
 		return h.FS.MkdirAll(op.Str1)
 	case vfs.MutBind:
-		return h.FS.Bind(op.Str1, op.Str2, vfs.BindFlag(op.P1))
+		// The bind was accepted live; its source may be gone since, or
+		// resolve only through a bind that comes later in the replay.
+		return h.FS.ReplayBind(op.Str1, op.Str2, vfs.BindFlag(op.P1))
 	}
 	return fmt.Errorf("unknown file mutation %d", op.P0)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -243,6 +244,62 @@ func TestJournalCheckpointCadence(t *testing.T) {
 	}
 	if got := fingerprint(h2); got != want {
 		t.Fatalf("recovered session differs:\n--- live ---\n%s\n--- recovered ---\n%s", want, got)
+	}
+}
+
+// A checkpoint restores what the live session holds even where a
+// checked replay could not: a bind whose source resolves only through a
+// bind on a mountpoint sorted after its own, a bind whose source was
+// removed since, and — after the highest-numbered window was closed —
+// the id the next window gets.
+func TestRecoverCheckpointKeepsBindsAndNextID(t *testing.T) {
+	h, fs := world(t)
+	jfs, jw := attachMemJournal(t, h, 1<<20)
+	defer jw.Close()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(fs.MkdirAll("/real/data"))
+	must(fs.WriteFile("/real/data/f", []byte("through two binds\n")))
+	must(fs.Bind("/real", "/m1", vfs.Replace))
+	must(fs.Bind("/m1/data", "/a", vfs.Replace))
+	must(fs.MkdirAll("/gone"))
+	must(fs.Bind("/gone", "/g", vfs.Replace))
+	must(fs.Remove("/gone"))
+	w1, err := h.OpenFile("/a/f", "")
+	must(err)
+	w2 := h.NewWindow()
+	h.Execute(w2, "Close!")
+	h.Execute(w1, "Snarf")
+	must(h.SyncJournal())
+
+	h2, _ := world(t)
+	res, err := RecoverSession(h2, jfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CkptGen == 0 || res.Ops != 0 {
+		t.Fatalf("recovered through checkpoint gen %d and %d tail ops, want the SyncJournal checkpoint alone", res.CkptGen, res.Ops)
+	}
+	liveFiles, liveBinds := h.FS.Dump()
+	gotFiles, gotBinds := h2.FS.Dump()
+	if !reflect.DeepEqual(gotBinds, liveBinds) {
+		t.Fatalf("recovered bind table %v, live %v", gotBinds, liveBinds)
+	}
+	if !reflect.DeepEqual(gotFiles, liveFiles) {
+		t.Fatalf("recovered files differ:\n got %v\nlive %v", gotFiles, liveFiles)
+	}
+	if b, err := h2.FS.ReadFile("/a/f"); err != nil || string(b) != "through two binds\n" {
+		t.Fatalf("/a/f after recovery: %q, %v", b, err)
+	}
+	if got, want := fingerprint(h2), fingerprint(h); got != want {
+		t.Fatalf("recovered session differs:\n--- live ---\n%s\n--- recovered ---\n%s", want, got)
+	}
+	if got, want := h2.NewWindow().ID, h.NewWindow().ID; got != want {
+		t.Fatalf("next window after recovery is %d, the live session's is %d", got, want)
 	}
 }
 

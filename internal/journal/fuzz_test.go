@@ -7,8 +7,9 @@ import (
 // FuzzJournalDecode throws arbitrary bytes at every decoding surface a
 // crash can expose: op payloads, whole segments (both mid-sequence and
 // final), checkpoints, and the boundary scanner. The property under
-// test is absolute: no input panics, and any op that decodes survives
-// an encode/decode round trip unchanged (nothing is half-believed).
+// test is absolute: no input panics, and any op or checkpoint that
+// decodes survives an encode/decode round trip unchanged (nothing is
+// half-believed).
 func FuzzJournalDecode(f *testing.F) {
 	for _, op := range []Op{
 		{Kind: OpSplice, Gen: 1, Win: 2, Sub: 1, P0: 3, P1: 4, Str1: "hello"},
@@ -17,9 +18,31 @@ func FuzzJournalDecode(f *testing.F) {
 	} {
 		f.Add(appendOpPayload(nil, &op))
 		seg := appendSegmentHeader(nil, 0)
-		f.Add(appendRecord(seg, appendOpPayload(nil, &op)))
-		f.Add(encodeCheckpoint(op.Gen, appendOpPayload(nil, &op)))
+		f.Add(appendRecord(seg, &op))
+		f.Add(encodeCheckpoint(op.Gen, []Op{op}))
 	}
+	// A record continued across two frames.
+	split := Op{Kind: OpSplice, Gen: 2, Win: 1, Sub: 1, Str1: "continued"}
+	f.Add(append(appendSegmentHeader(nil, 0), splitFrames(appendOpPayload(nil, &split), 5)...))
+	// A checkpoint as a session writes one.
+	f.Add(encodeCheckpoint(7, []Op{
+		{Kind: OpSession, P0: 80, P1: 24, P2: 3},
+		{Kind: OpColSplit, P0: 40},
+		{Kind: OpFile, P0: 3, Str1: "/usr"},
+		{Kind: OpFile, P0: 0, Str1: "/usr/f", Str2: "data\n"},
+		{Kind: OpFile, P0: 4, P1: 0, Str1: "/usr", Str2: "/bin"},
+		{Kind: OpNewWin, Win: 2},
+		{Kind: OpSplice, Win: 2, Sub: 0, Str1: "/usr/f Close!"},
+		{Kind: OpSplice, Win: 2, Sub: 1, Str1: "data\n"},
+		{Kind: OpPlace, Win: 2, P0: 1, P1: 1},
+		{Kind: OpScroll, Win: 2},
+		{Kind: OpSelect, Win: 2, Sub: 0},
+		{Kind: OpSelect, Win: 2, Sub: 1, P0: 1, P1: 3},
+		{Kind: OpClean, Win: 2, Flag: true},
+		{Kind: OpCurrent, Win: 2, Sub: 1},
+		{Kind: OpSnarf, Str1: "at"},
+		{Kind: OpErrors},
+	}))
 	f.Add([]byte(segMagic))
 	f.Add([]byte(ckptMagic))
 
@@ -34,7 +57,17 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		decodeSegment("wal-00000000000000000000.log", b, true)
 		decodeSegment("wal-00000000000000000000.log", b, false)
-		decodeCheckpoint(b)
+		if gen, ops, err := decodeCheckpoint(b); err == nil {
+			gen2, ops2, err := decodeCheckpoint(encodeCheckpoint(gen, ops))
+			if err != nil || gen2 != gen || len(ops2) != len(ops) {
+				t.Fatalf("checkpoint round trip diverged: %d ops -> %d (%v)", len(ops), len(ops2), err)
+			}
+			for i := range ops {
+				if ops2[i] != ops[i] {
+					t.Fatalf("checkpoint op %d diverged: %+v -> %+v", i, ops[i], ops2[i])
+				}
+			}
+		}
 		for _, e := range RecordEnds(b) {
 			if e < segHeaderLen || e > len(b) {
 				t.Fatalf("RecordEnds offset %d out of range", e)

@@ -5,19 +5,24 @@
 //   - Every session mutation is an Op — a small, self-describing record
 //     (splice, selection, window placement, snarf, file write, ...)
 //     stamped with a strictly increasing generation number.
-//   - Ops are framed on disk as [4-byte length][4-byte CRC32][payload]
-//     and appended to segment files named wal-<gen>.log, where <gen> is
-//     the generation of the checkpoint the segment follows.
-//   - Periodically the whole session (vfs contents, windows, layout,
-//     selections, snarf) is snapshotted into a checkpoint file, written
-//     atomically via tmp+rename; older segments are then deleted
+//   - An Op is written as one record of one or more frames, each
+//     [4-byte length word][4-byte CRC32-C][payload]. A frame holds at
+//     most MaxRecord payload bytes; a longer record is split across
+//     frames, and the top bit of a frame's length word says another
+//     frame of the same record follows (LevelDB's log does the same).
+//     Records are appended to segment files named wal-<gen>.log, where
+//     <gen> is the generation of the checkpoint the segment follows.
+//   - Periodically the whole session is written as a checkpoint: the
+//     list of Ops that rebuilds it from an empty one, framed exactly
+//     like segment records, behind one header and checksum, written
+//     atomically via tmp+rename. Older segments are then deleted
 //     (compaction), so the journal's size is bounded by one checkpoint
 //     plus the tail of ops since.
-//   - Recovery = decode checkpoint, replay ops with generation greater
-//     than the checkpoint's, in order. A torn final record (power cut
-//     mid-append) is detected by the length/CRC framing and discarded;
-//     corruption anywhere else is reported as ErrCorrupt, never
-//     replayed and never panicking.
+//   - Recovery = apply the checkpoint's ops, then the ops with
+//     generation greater than the checkpoint's, in order, through one
+//     replay path. A torn final record (power cut mid-append) is
+//     detected by the framing and discarded; corruption anywhere else is
+//     reported as ErrCorrupt, never replayed and never panicking.
 //
 // The Writer batches appends through a single background goroutine
 // (group commit) so the interactive event loop never blocks on fsync.
@@ -33,24 +38,28 @@ import (
 )
 
 // OpKind enumerates the record types the session journal uses. The
-// values are part of the on-disk format; append only.
+// values are part of the on-disk format; append only. The same kinds
+// serve the WAL and the checkpoint: a checkpoint is OpSession followed
+// by the records that rebuild every window, the layout, the namespace,
+// focus and snarf, in the order documented on core's checkpointOps.
 type OpKind byte
 
 const (
 	// OpSplice: body/tag text edit. Win/Sub locate the buffer, P0 is
 	// the rune offset, P1 the number of runes deleted, Str1 the runes
-	// inserted.
+	// inserted. A checkpoint carries each tag and body as one insert.
 	OpSplice OpKind = 1
 	// OpClean: the buffer's Modified flag changed. Flag true = clean.
 	OpClean OpKind = 2
 	// OpSelect: selection changed. Win/Sub, P0=q0, P1=q1.
 	OpSelect OpKind = 3
-	// OpCurrent: the current (focus) window/subwindow changed.
+	// OpCurrent: the current (focus) window/subwindow changed; Win 0
+	// means none.
 	OpCurrent OpKind = 4
 	// OpSnarf: the snarf buffer changed. Str1 is the new contents.
 	OpSnarf OpKind = 5
-	// OpNewWin: window Win was created. Str1 is the tag line, Flag is
-	// IsDir.
+	// OpNewWin: window Win was created, empty and hidden until its
+	// OpPlace. Flag is IsDir.
 	OpNewWin OpKind = 6
 	// OpCloseWin: window Win was closed.
 	OpCloseWin OpKind = 7
@@ -69,6 +78,9 @@ const (
 	// OpErrors: the Errors window identity changed; Win is the new
 	// Errors window's id, 0 for none.
 	OpErrors OpKind = 12
+	// OpSession opens every checkpoint: the screen is P0×P1 and the
+	// next window id is P2. It never appears in a segment.
+	OpSession OpKind = 13
 )
 
 // Op is one journal record. The fields are a superset; each kind uses
@@ -93,13 +105,23 @@ const (
 	ckptMagic = "HELPCKP1"
 
 	segHeaderLen  = 16 // magic + base generation
-	recHeaderLen  = 8  // length + CRC32
+	recHeaderLen  = 8  // length word + CRC32
 	ckptHeaderLen = 24 // magic + generation + length + CRC32
 
-	// MaxRecord bounds a single record's payload. Anything larger in a
-	// length header is corruption, not a real record; the bound keeps a
-	// flipped length bit from provoking a giant allocation.
+	// frameMore, set in a frame's length word, says that another frame
+	// of the same record follows.
+	frameMore = 1 << 31
+
+	// MaxRecord bounds a single frame's payload; a longer record is
+	// split across frames. A larger length in a frame header is
+	// corruption, not a real frame: the bound keeps a flipped length bit
+	// from provoking a giant allocation.
 	MaxRecord = 1 << 26
+
+	// maxOpFixed bounds an encoded op's bytes besides its two strings:
+	// the kind, the flag and eight varints (generation, window, subwindow,
+	// P0-P2 and the two string lengths).
+	maxOpFixed = 2 + 8*binary.MaxVarintLen64
 )
 
 // ErrCorrupt reports a journal that is damaged somewhere other than
@@ -224,26 +246,102 @@ func decodeOpPayload(b []byte) (Op, error) {
 	if d.err != nil {
 		return Op{}, d.err
 	}
-	if op.Kind < OpSplice || op.Kind > OpErrors {
+	if op.Kind < OpSplice || op.Kind > OpSession {
 		return Op{}, fmt.Errorf("%w: unknown op kind %d", ErrCorrupt, op.Kind)
 	}
 	return op, nil
 }
 
-// appendRecord frames payload onto dst: length, CRC32-C, payload.
-func appendRecord(dst, payload []byte) []byte {
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// recordCap bounds the bytes appendRecord adds for op, so a caller can
+// size its buffer once.
+func recordCap(op *Op) int {
+	n := maxOpFixed + len(op.Str1) + len(op.Str2)
+	return n + (n/MaxRecord+1)*recHeaderLen
 }
 
-// EncodeOp frames op as a complete on-disk record. The byte sequence a
-// given op produces is independent of batching, which is what makes a
-// journal byte stream deterministic for a given session script.
+// appendRecord frames op onto dst as one record. The payload is encoded
+// in place behind a frame header that is filled in afterwards. A payload
+// longer than MaxRecord is then split in place into frames of at most
+// MaxRecord bytes, each but the last flagged frameMore: frame k moves k
+// headers up, last frame first, so no byte is overwritten before it has
+// moved. With cap(dst) grown by recordCap, nothing is reallocated.
+func appendRecord(dst []byte, op *Op) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, recHeaderLen)...)
+	dst = appendOpPayload(dst, op)
+	n := len(dst) - start - recHeaderLen
+	frames := max(1, (n+MaxRecord-1)/MaxRecord)
+	dst = append(dst, make([]byte, (frames-1)*recHeaderLen)...)
+	for k := frames - 1; k >= 0; k-- {
+		lo, hi := k*MaxRecord, min((k+1)*MaxRecord, n)
+		at := start + k*(MaxRecord+recHeaderLen)
+		body := dst[at+recHeaderLen : at+recHeaderLen+hi-lo]
+		if k > 0 {
+			copy(body, dst[start+recHeaderLen+lo:start+recHeaderLen+hi])
+		}
+		word := uint32(hi - lo)
+		if k < frames-1 {
+			word |= frameMore
+		}
+		binary.LittleEndian.PutUint32(dst[at:at+4], word)
+		binary.LittleEndian.PutUint32(dst[at+4:at+8], crc32.Checksum(body, crcTable))
+	}
+	return dst
+}
+
+// EncodeOp frames op as a complete on-disk record, in one allocation.
+// The byte sequence a given op produces is independent of batching,
+// which is what makes a journal byte stream deterministic for a given
+// session script.
 func EncodeOp(op *Op) []byte {
-	return appendRecord(nil, appendOpPayload(nil, op))
+	return appendRecord(make([]byte, 0, recordCap(op)), op)
+}
+
+// nextRecord reads the framing of the record at b[off:] and returns its
+// payload — in place when the record is one frame, its frames joined
+// into a fresh buffer otherwise — and the offset just past it. A record
+// that b cuts short, or whose final frame ends b with a bad checksum (a
+// torn in-place write), is reported through torn; damage that no crash
+// can produce is reported through bad. At most one of the two is set.
+func nextRecord(b []byte, off int) (payload []byte, next int, torn, bad string) {
+	start, size, frames := off, 0, 0
+	for {
+		if off+recHeaderLen > len(b) {
+			return nil, 0, "torn record header", ""
+		}
+		word := binary.LittleEndian.Uint32(b[off : off+4])
+		n := int(word &^ frameMore)
+		if n > MaxRecord {
+			// An absurd length is a flipped bit, not a torn write.
+			return nil, 0, "", fmt.Sprintf("record length %d", n)
+		}
+		if off+recHeaderLen+n > len(b) {
+			return nil, 0, "torn record body", ""
+		}
+		body := b[off+recHeaderLen : off+recHeaderLen+n]
+		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[off+4:off+8]) {
+			if off+recHeaderLen+n == len(b) {
+				return nil, 0, "checksum mismatch on final record", ""
+			}
+			return nil, 0, "", "record checksum"
+		}
+		off += recHeaderLen + n
+		size += n
+		frames++
+		if word&frameMore == 0 {
+			break
+		}
+	}
+	if frames == 1 {
+		return b[start+recHeaderLen : off], off, "", ""
+	}
+	payload = make([]byte, 0, size)
+	for p := start; p < off; {
+		n := int(binary.LittleEndian.Uint32(b[p:p+4]) &^ frameMore)
+		payload = append(payload, b[p+recHeaderLen:p+recHeaderLen+n]...)
+		p += recHeaderLen + n
+	}
+	return payload, off, "", ""
 }
 
 // segmentName returns the file name for the segment holding ops after
@@ -277,21 +375,29 @@ func appendSegmentHeader(dst []byte, base uint64) []byte {
 	return append(dst, g[:]...)
 }
 
-// encodeCheckpoint frames a checkpoint payload: magic, generation,
-// length, CRC32-C, payload.
-func encodeCheckpoint(gen uint64, payload []byte) []byte {
-	buf := make([]byte, 0, ckptHeaderLen+len(payload))
-	buf = append(buf, ckptMagic...)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], gen)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// encodeCheckpoint writes a checkpoint file: magic, generation, payload
+// length and CRC32-C, then the payload, which is ops framed as records.
+// The buffer is sized once up front and every op encoded in place.
+func encodeCheckpoint(gen uint64, ops []Op) []byte {
+	size := ckptHeaderLen
+	for i := range ops {
+		size += recordCap(&ops[i])
+	}
+	buf := make([]byte, ckptHeaderLen, size)
+	copy(buf, ckptMagic)
+	for i := range ops {
+		buf = appendRecord(buf, &ops[i])
+	}
+	payload := buf[ckptHeaderLen:]
+	binary.LittleEndian.PutUint64(buf[8:16], gen)
+	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[20:24], crc32.Checksum(payload, crcTable))
+	return buf
 }
 
-// decodeCheckpoint validates and splits a checkpoint file.
-func decodeCheckpoint(b []byte) (gen uint64, payload []byte, err error) {
+// checkpointPayload validates a checkpoint file's header and checksum
+// and splits off its payload.
+func checkpointPayload(b []byte) (gen uint64, payload []byte, err error) {
 	if len(b) < ckptHeaderLen {
 		return 0, nil, fmt.Errorf("%w: checkpoint truncated", ErrCorrupt)
 	}
@@ -311,10 +417,32 @@ func decodeCheckpoint(b []byte) (gen uint64, payload []byte, err error) {
 	return gen, payload, nil
 }
 
+// decodeCheckpoint validates a checkpoint file and decodes its ops. The
+// file is written atomically, so unlike a segment it has no torn tail:
+// any damage is ErrCorrupt. The result is non-nil even when empty.
+func decodeCheckpoint(b []byte) (gen uint64, ops []Op, err error) {
+	gen, payload, err := checkpointPayload(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	ops, torn, err := decodeRecords(payload, 0)
+	if err == nil && torn != "" {
+		err = fmt.Errorf("%w: %s", ErrCorrupt, torn)
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if ops == nil {
+		ops = []Op{}
+	}
+	return gen, ops, nil
+}
+
 // RecordEnds returns every byte offset in a segment file that is a
 // whole-record boundary: the end of the header, then the end of each
-// well-formed record. Crash-matrix tests truncate at (and between)
-// these offsets. Scanning stops at the first malformed record.
+// well-formed record (after its last frame). Crash-matrix tests
+// truncate at (and between) these offsets. Scanning stops at the first
+// malformed record.
 func RecordEnds(seg []byte) []int {
 	var ends []int
 	if len(seg) < segHeaderLen || string(seg[:8]) != segMagic {
@@ -322,17 +450,12 @@ func RecordEnds(seg []byte) []int {
 	}
 	off := segHeaderLen
 	ends = append(ends, off)
-	for off+recHeaderLen <= len(seg) {
-		n := int(binary.LittleEndian.Uint32(seg[off : off+4]))
-		sum := binary.LittleEndian.Uint32(seg[off+4 : off+8])
-		if n > MaxRecord || off+recHeaderLen+n > len(seg) {
+	for off < len(seg) {
+		_, next, torn, bad := nextRecord(seg, off)
+		if torn != "" || bad != "" {
 			break
 		}
-		payload := seg[off+recHeaderLen : off+recHeaderLen+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break
-		}
-		off += recHeaderLen + n
+		off = next
 		ends = append(ends, off)
 	}
 	return ends

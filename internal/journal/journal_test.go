@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +36,76 @@ func TestOpRoundTrip(t *testing.T) {
 		}
 		if got != op {
 			t.Fatalf("op %d: round trip\n got %+v\nwant %+v", i, got, op)
+		}
+	}
+}
+
+// EncodeOp sizes its buffer once: the payload is encoded in place
+// behind the frame header.
+func TestEncodeOpOneAllocation(t *testing.T) {
+	op := Op{Kind: OpSplice, Gen: 1 << 40, Win: 3, Sub: 1, P0: 1 << 30, P1: -7, Str1: strings.Repeat("x", 1000), Str2: "aux"}
+	var rec []byte
+	if n := testing.AllocsPerRun(20, func() { rec = EncodeOp(&op) }); n != 1 {
+		t.Fatalf("EncodeOp made %v allocations, want 1", n)
+	}
+	payload, next, torn, bad := nextRecord(rec, 0)
+	if torn != "" || bad != "" || next != len(rec) {
+		t.Fatalf("framing: next %d of %d, torn %q, bad %q", next, len(rec), torn, bad)
+	}
+	if got, err := decodeOpPayload(payload); err != nil || got != op {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+}
+
+// splitFrames frames payload as one record of two frames, the first
+// holding payload[:at] and flagged frameMore. The writer only splits at
+// MaxRecord, but the reader joins frames of any size.
+func splitFrames(payload []byte, at int) []byte {
+	var out []byte
+	for i, part := range [][]byte{payload[:at], payload[at:]} {
+		var hdr [recHeaderLen]byte
+		word := uint32(len(part))
+		if i == 0 {
+			word |= frameMore
+		}
+		binary.LittleEndian.PutUint32(hdr[0:4], word)
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(part, crcTable))
+		out = append(append(out, hdr[:]...), part...)
+	}
+	return out
+}
+
+// A record split across frames loads as one op, counts as one record
+// end, and a segment cut anywhere inside it is torn, not corrupt.
+func TestContinuedFramesJoin(t *testing.T) {
+	ops := []Op{
+		{Kind: OpSnarf, Gen: 1, Str1: "before"},
+		{Kind: OpSplice, Gen: 2, Win: 1, Sub: 1, Str1: "joined across two frames"},
+	}
+	seg := appendRecord(appendSegmentHeader(nil, 0), &ops[0])
+	first := len(seg)
+	seg = append(seg, splitFrames(appendOpPayload(nil, &ops[1]), 9)...)
+	fs := NewMemFS()
+	fs.WriteFile(segmentName(0), seg)
+	st, err := Load(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Torn || len(st.Ops) != 2 || st.Ops[0] != ops[0] || st.Ops[1] != ops[1] {
+		t.Fatalf("loaded %+v (torn %v)", st.Ops, st.Torn)
+	}
+	if ends := RecordEnds(seg); len(ends) != 3 || ends[1] != first || ends[2] != len(seg) {
+		t.Fatalf("RecordEnds = %v, want [%d %d %d]", ends, segHeaderLen, first, len(seg))
+	}
+	for n := first + 1; n < len(seg); n++ {
+		cut := NewMemFS()
+		cut.WriteFile(segmentName(0), seg[:n])
+		st, err := Load(cut)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", n, err)
+		}
+		if !st.Torn || len(st.Ops) != 1 {
+			t.Fatalf("cut at %d: %d ops, torn %v", n, len(st.Ops), st.Torn)
 		}
 	}
 }
@@ -253,7 +325,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w.Append(&Op{Kind: OpScroll, Win: 1, P0: i})
 	}
-	w.Checkpoint([]byte("snapshot-at-5"))
+	w.Checkpoint([]Op{{Kind: OpSnarf, Str1: "snapshot-at-5"}})
 	w.Append(&Op{Kind: OpScroll, Win: 1, P0: 99})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -274,8 +346,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CkptGen != 5 || string(st.Checkpoint) != "snapshot-at-5" {
-		t.Fatalf("checkpoint gen %d payload %q", st.CkptGen, st.Checkpoint)
+	if st.CkptGen != 5 || len(st.Checkpoint) != 1 || st.Checkpoint[0].Str1 != "snapshot-at-5" {
+		t.Fatalf("checkpoint gen %d ops %+v", st.CkptGen, st.Checkpoint)
 	}
 	if len(st.Ops) != 1 || st.Ops[0].P0 != 99 || st.Ops[0].Gen != 6 {
 		t.Fatalf("replay tail %+v", st.Ops)
@@ -297,7 +369,7 @@ func TestLoadIgnoresPreCheckpointSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale, _ := fs.ReadFile(segmentName(0))
-	w.Checkpoint([]byte("ckpt"))
+	w.Checkpoint([]Op{{Kind: OpSnarf, Str1: "ckpt"}})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +600,7 @@ func TestCheckpointCorruptIsError(t *testing.T) {
 	fs := NewMemFS()
 	w, _ := Open(fs, Config{})
 	w.Append(&Op{Kind: OpScroll, Win: 1})
-	w.Checkpoint([]byte("payload"))
+	w.Checkpoint([]Op{{Kind: OpSnarf, Str1: "payload"}})
 	w.Flush()
 	w.Close()
 

@@ -49,7 +49,7 @@ func TestLockCoexistsWithJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Append(&Op{Kind: OpSplice, Win: 1, Str1: "x"})
-	w.Checkpoint([]byte("snap"))
+	w.Checkpoint([]Op{{Kind: OpSnarf, Str1: "snap"}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLockCoexistsWithJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load with lockfile present: %v", err)
 	}
-	if string(st.Checkpoint) != "snap" {
-		t.Fatalf("checkpoint = %q", st.Checkpoint)
+	if len(st.Checkpoint) != 1 || st.Checkpoint[0].Str1 != "snap" {
+		t.Fatalf("checkpoint = %+v", st.Checkpoint)
 	}
 }

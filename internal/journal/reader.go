@@ -3,10 +3,6 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // State is what Load recovers: the newest checkpoint plus the ordered
@@ -15,10 +11,11 @@ type State struct {
 	// CkptGen is the checkpoint's generation; ops in Ops all have
 	// strictly greater generations.
 	CkptGen uint64
-	// Checkpoint is the snapshot payload; nil when no checkpoint
-	// exists (then Ops is the whole history — unused by help, which
-	// always checkpoints on attach, but Load supports it).
-	Checkpoint []byte
+	// Checkpoint is the op list that rebuilds the session from an
+	// empty one; nil when no checkpoint exists (then Ops is the whole
+	// history — unused by help, which always checkpoints on attach, but
+	// Load supports it).
+	Checkpoint []Op
 	// Ops is the replay tail, generations strictly increasing.
 	Ops []Op
 	// MaxGen is the highest generation seen (CkptGen if no ops).
@@ -33,8 +30,8 @@ type State struct {
 
 // Load reads and validates the journal. Rules:
 //
-//   - The checkpoint file, if present, must decode exactly; it is
-//     written atomically, so any damage is ErrCorrupt.
+//   - The checkpoint file, if present, must decode exactly, records
+//     and all; it is written atomically, so any damage is ErrCorrupt.
 //   - Only segments with base >= the checkpoint generation are
 //     replayed; older ones are pre-compaction leftovers and ignored.
 //   - Within the segment sequence, every record must frame and decode
@@ -59,12 +56,12 @@ func Load(fsys Fsys) (*State, error) {
 			if err != nil {
 				return nil, err
 			}
-			gen, payload, err := decodeCheckpoint(b)
+			gen, ops, err := decodeCheckpoint(b)
 			if err != nil {
 				return nil, err
 			}
 			st.CkptGen = gen
-			st.Checkpoint = payload
+			st.Checkpoint = ops
 			st.MaxGen = gen
 			haveCkpt = true
 			continue
@@ -135,59 +132,35 @@ func decodeSegment(name string, seg []byte, isLast bool) (ops []Op, torn bool, r
 	if nameBase, _ := parseSegmentName(name); nameBase != base {
 		return nil, false, "", fmt.Errorf("%w: %s: header generation %d does not match name", ErrCorrupt, name, base)
 	}
-	off := segHeaderLen
-	for off < len(seg) {
-		if off+recHeaderLen > len(seg) {
-			return tear("torn record header")
-		}
-		n := int(binary.LittleEndian.Uint32(seg[off : off+4]))
-		sum := binary.LittleEndian.Uint32(seg[off+4 : off+8])
-		if n > MaxRecord {
-			// An absurd length is a flipped bit, not a torn write.
-			return nil, false, "", fmt.Errorf("%w: %s: record length %d", ErrCorrupt, name, n)
-		}
-		if off+recHeaderLen+n > len(seg) {
-			return tear("torn record body")
-		}
-		payload := seg[off+recHeaderLen : off+recHeaderLen+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			// A checksum mismatch on the final record could be a torn
-			// in-place write; mid-file it is corruption.
-			if off+recHeaderLen+n == len(seg) {
-				return tear("checksum mismatch on final record")
-			}
-			return nil, false, "", fmt.Errorf("%w: %s: record checksum", ErrCorrupt, name)
-		}
-		op, derr := decodeOpPayload(payload)
-		if derr != nil {
-			return nil, false, "", fmt.Errorf("%s: %w", name, derr)
-		}
-		ops = append(ops, op)
-		off += recHeaderLen + n
+	ops, tornAt, err := decodeRecords(seg, segHeaderLen)
+	if err != nil {
+		return nil, false, "", fmt.Errorf("%s: %w", name, err)
+	}
+	if tornAt != "" {
+		return tear(tornAt)
 	}
 	return ops, false, "", nil
 }
 
-// ReplayTimer wraps the journal.replay latency histogram so recovery
-// can report how long a replay took without importing obs at call
-// sites that may not have a registry.
-type ReplayTimer struct {
-	h  *obs.Histogram
-	t0 time.Time
-}
-
-// StartReplay begins timing a recovery replay. r may be nil.
-func StartReplay(r *obs.Registry) ReplayTimer {
-	t := ReplayTimer{t0: time.Now()}
-	if r != nil {
-		t.h = r.Histogram("journal.replay")
+// decodeRecords decodes the records in b from off to its end: a
+// segment's, or a checkpoint's. A torn record stops it; it returns the
+// ops before it and why it is torn.
+func decodeRecords(b []byte, off int) ([]Op, string, error) {
+	var ops []Op
+	for off < len(b) {
+		payload, next, torn, bad := nextRecord(b, off)
+		if torn != "" {
+			return ops, torn, nil
+		}
+		if bad != "" {
+			return nil, "", fmt.Errorf("%w: %s", ErrCorrupt, bad)
+		}
+		op, err := decodeOpPayload(payload)
+		if err != nil {
+			return nil, "", err
+		}
+		ops = append(ops, op)
+		off = next
 	}
-	return t
-}
-
-// Done records the elapsed replay time and returns it.
-func (t ReplayTimer) Done() time.Duration {
-	d := time.Since(t.t0)
-	t.h.Observe(d)
-	return d
+	return ops, "", nil
 }

@@ -45,7 +45,7 @@ type Config struct {
 // item is one unit of work for the background writer goroutine.
 type item struct {
 	rec  []byte // framed record to append, if non-nil
-	ckpt []byte // checkpoint payload, if non-nil
+	ckpt []Op   // checkpoint ops, if non-nil
 	gen  uint64 // checkpoint generation
 	done chan error
 	quit bool
@@ -158,18 +158,24 @@ func (w *Writer) Append(op *Op) uint64 {
 	return g
 }
 
-// Checkpoint enqueues a full-session snapshot. When the writer
-// goroutine reaches it, every record appended before this call has
-// been written; the snapshot is written atomically (tmp+rename) and
-// all older segments are deleted. Asynchronous, like Append.
-func (w *Writer) Checkpoint(payload []byte) {
+// Checkpoint enqueues a checkpoint: the ops that rebuild the whole
+// session from an empty one. The writer goroutine encodes them, off the
+// caller's goroutine, into one buffer framed like segment records. When
+// it reaches the checkpoint, every record appended before this call has
+// been written; the checkpoint is written atomically (tmp+rename) and
+// all older segments are deleted. Asynchronous, like Append. The caller
+// must not modify ops afterwards.
+func (w *Writer) Checkpoint(ops []Op) {
+	if ops == nil {
+		ops = []Op{}
+	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return
 	}
 	g := w.gen
-	w.ch <- item{ckpt: payload, gen: g}
+	w.ch <- item{ckpt: ops, gen: g}
 	w.mu.Unlock()
 }
 
@@ -370,12 +376,12 @@ func (w *Writer) syncSeg() {
 	w.obsFsyncs.Inc()
 }
 
-// checkpoint writes the snapshot atomically, rotates to a fresh
+// checkpoint writes the checkpoint atomically, rotates to a fresh
 // segment base, and compacts: once the new checkpoint is durable,
 // every existing segment holds only generations at or below gen and
 // is deleted. A crash anywhere before the rename leaves the previous
 // checkpoint + segments fully intact.
-func (w *Writer) checkpoint(gen uint64, payload []byte) {
+func (w *Writer) checkpoint(gen uint64, ops []Op) {
 	if w.getFailed() != nil {
 		return
 	}
@@ -385,7 +391,7 @@ func (w *Writer) checkpoint(gen uint64, payload []byte) {
 		w.fail(fmt.Errorf("journal: checkpoint: %w", err))
 		return
 	}
-	if _, err := f.Write(encodeCheckpoint(gen, payload)); err != nil {
+	if _, err := f.Write(encodeCheckpoint(gen, ops)); err != nil {
 		f.Close()
 		w.fail(fmt.Errorf("journal: checkpoint write: %w", err))
 		return
@@ -435,7 +441,7 @@ func scanMaxGen(fsys Fsys) (uint64, error) {
 	for _, name := range names {
 		if name == "checkpoint" {
 			if b, err := fsys.ReadFile(name); err == nil {
-				if gen, _, err := decodeCheckpoint(b); err == nil && gen > max {
+				if gen, _, err := checkpointPayload(b); err == nil && gen > max {
 					max = gen
 				}
 			}
@@ -466,11 +472,8 @@ func scanMaxGen(fsys Fsys) (uint64, error) {
 func scanOps(seg []byte) []Op {
 	var ops []Op
 	ends := RecordEnds(seg)
-	if len(ends) == 0 {
-		return nil
-	}
 	for i := 1; i < len(ends); i++ {
-		payload := seg[ends[i-1]+recHeaderLen : ends[i]]
+		payload, _, _, _ := nextRecord(seg, ends[i-1])
 		if op, err := decodeOpPayload(payload); err == nil {
 			ops = append(ops, op)
 		}

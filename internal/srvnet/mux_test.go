@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +180,100 @@ func TestShutdownNotifiesIdleConnection(t *testing.T) {
 	}
 	if _, err := c.ReadFile("/f"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("op after shutdown: err = %v, want ErrDraining", err)
+	}
+}
+
+// writeStartConn closes started when the first Write begins.
+type writeStartConn struct {
+	net.Conn
+	once    sync.Once
+	started chan struct{}
+}
+
+func (c *writeStartConn) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.started) })
+	return c.Conn.Write(p)
+}
+
+// A draining refusal that reaches the client while its request is still
+// being written — the reader delivers it and closes the connection under
+// the write — is what the call reports, not the failed write.
+func TestSendFailureReportsDrainingRefusal(t *testing.T) {
+	cside, sside := net.Pipe() // the peer never reads: the write blocks
+	defer sside.Close()
+	conn := &writeStartConn{Conn: cside, started: make(chan struct{})}
+	c := NewClient(conn)
+	defer c.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.ReadFile("/f")
+		errc <- err
+	}()
+	<-conn.started
+	refusal := frame{Op: opReply, Code: codeDraining, Str: ErrDraining.Error()}
+	if _, err := writeFrame(sside, nil, &refusal); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; !errors.Is(err, ErrDraining) {
+		t.Fatalf("ReadFile under a draining refusal: err = %v, want ErrDraining", err)
+	}
+}
+
+// rearmConn holds the server reader's first re-arm of its idle deadline
+// after hold is set until Shutdown's nudge (an immediate deadline) has
+// landed, so the re-arm overwrites the nudge.
+type rearmConn struct {
+	net.Conn
+	hold    atomic.Bool
+	holding chan struct{} // closed when the re-arm is held
+	once    sync.Once
+	nudged  chan struct{} // closed when the first immediate deadline is set
+}
+
+func (c *rearmConn) SetReadDeadline(t time.Time) error {
+	if !t.After(time.Now()) {
+		err := c.Conn.SetReadDeadline(t)
+		c.once.Do(func() { close(c.nudged) })
+		return err
+	}
+	if c.hold.CompareAndSwap(true, false) {
+		close(c.holding)
+		<-c.nudged
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// Shutdown's nudge must reach an idle connection even when the reader
+// re-arms its idle deadline just after the nudge: the reader re-checks
+// draining after re-arming, so Shutdown returns well inside its context
+// instead of waiting the idle timeout out.
+func TestShutdownNudgeSurvivesReaderRearm(t *testing.T) {
+	fs := vfs.New()
+	fs.WriteFile("/f", []byte("x"))
+	srv := NewServer(fs)
+	srv.IdleTimeout = time.Minute
+	cside, sside := net.Pipe()
+	conn := &rearmConn{Conn: sside, holding: make(chan struct{}), nudged: make(chan struct{})}
+	go srv.ServeConn(conn)
+	c := NewClient(cside)
+	defer c.Close()
+	if _, err := c.ReadFile("/f"); err != nil {
+		t.Fatal(err)
+	}
+	conn.hold.Store(true)
+	// The reader re-arms after queueing this request, and is held there.
+	if _, err := c.ReadFile("/f"); err != nil {
+		t.Fatal(err)
+	}
+	<-conn.holding
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v after %v", err, time.Since(t0))
+	}
+	if d := time.Since(t0); d > 2*time.Second {
+		t.Fatalf("Shutdown took %v", d)
 	}
 }
 

@@ -256,7 +256,9 @@ type Server struct {
 	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 	wg        sync.WaitGroup
-	draining  bool
+	// draining is set once, under connMu, when Shutdown begins. It is
+	// atomic so the per-request checks read it without the lock.
+	draining atomic.Bool
 
 	// waiters counts parked readwait goroutines server-wide against
 	// MaxWaiters; atomic so the readwait dispatch path takes no lock.
@@ -373,7 +375,7 @@ func (s *Server) WaiterCount() int { return int(s.waiters.Load()) }
 func (s *Server) register(conn net.Conn) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	if s.draining || len(s.conns) >= s.maxConns() {
+	if s.draining.Load() || len(s.conns) >= s.maxConns() {
 		return false
 	}
 	s.conns[conn] = struct{}{}
@@ -411,11 +413,7 @@ func (s *Server) ConnCount() int {
 }
 
 // isDraining reports whether Shutdown has begun.
-func (s *Server) isDraining() bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.draining
-}
+func (s *Server) isDraining() bool { return s.draining.Load() }
 
 // Serve accepts connections until the listener closes. When it does,
 // Serve closes every connection it accepted and waits for their
@@ -423,7 +421,7 @@ func (s *Server) isDraining() bool {
 // listener.
 func (s *Server) Serve(l net.Listener) error {
 	s.connMu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.connMu.Unlock()
 		return ErrBusy
 	}
@@ -516,6 +514,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// socket; buffered frames are the peer being anything but idle.
 			if br.Buffered() == 0 {
 				conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
+				// The re-arm may have overwritten Shutdown's nudge (an
+				// immediate deadline) if it landed just before; draining
+				// is set before any nudge, so re-nudge here.
+				if s.isDraining() {
+					conn.SetReadDeadline(time.Now())
+				}
 			}
 			if err := readFrame(br, &req, false); err != nil {
 				var ne net.Error
@@ -813,7 +817,7 @@ func (s *Server) readWaitCap() time.Duration {
 // returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.connMu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	for l := range s.listeners {
 		l.Close()
 	}
@@ -1318,7 +1322,13 @@ func (c *Client) start(req *frame, flush bool) (*pendingCall, error) {
 	if err != nil {
 		err = fmt.Errorf("srvnet: send: %w", err)
 		c.poisonAll(err, nil)
-		<-call.ch // poisonAll (ours or a concurrent one) delivered to every pending call
+		// poisonAll — ours, or the reader's, which may have settled this
+		// call first (a server's Seq-0 draining refusal closes the
+		// connection under the write) — delivered to every pending call.
+		// Report what was delivered: the refusal says why.
+		if res := <-call.ch; res.err != nil {
+			err = res.err
+		}
 		callPool.Put(call)
 		c.Obs.Counter("srvnet.inflight").Add(-1)
 		return nil, err

@@ -222,11 +222,11 @@ func (m *memBacking) indexDelete(off, n int) {
 	}
 }
 
-func (m *memBacking) nNewlines() int          { return len(m.newlines) }
-func (m *memBacking) newlineOff(i int) int    { return m.newlines[i] }
-func (m *memBacking) newlineIdx(off int) int  { return sort.SearchInts(m.newlines, off) }
-func (m *memBacking) memRunes() int           { return m.length() }
-func (m *memBacking) setOnMem(fn func(int))   { m.onMem = fn }
+func (m *memBacking) nNewlines() int         { return len(m.newlines) }
+func (m *memBacking) newlineOff(i int) int   { return m.newlines[i] }
+func (m *memBacking) newlineIdx(off int) int { return sort.SearchInts(m.newlines, off) }
+func (m *memBacking) memRunes() int          { return m.length() }
+func (m *memBacking) setOnMem(fn func(int))  { m.onMem = fn }
 
 func (m *memBacking) bytesTotal() int64 {
 	var total int64

@@ -46,7 +46,7 @@ type DumpEntry struct {
 // endpoints re-registered by whoever owns them, not persistable state.
 // Sealed subtrees are skipped too: they are immutable template state
 // grafted from elsewhere, reconstructed by whoever builds the
-// namespace, and persisting them would bloat every snapshot with data
+// namespace, and persisting them would bloat every checkpoint with data
 // that cannot have changed.
 func (fs *FS) Dump() ([]DumpEntry, map[string][]string) {
 	fs.lock()
@@ -81,61 +81,28 @@ func (fs *FS) Dump() ([]DumpEntry, map[string][]string) {
 	return entries, binds
 }
 
-// RestoreDump makes the namespace's non-device contents and bind table
-// match a Dump: files and empty directories absent from the snapshot
-// are removed, snapshot entries are (re)created, and the bind table is
-// replaced wholesale. Device nodes — and the directories that shelter
-// them — are left alone, for the same reason Dump skips them. The
-// mutation observer is suppressed for the duration.
-func (fs *FS) RestoreDump(entries []DumpEntry, binds map[string][]string) error {
+// Reset empties the namespace for a journal replay: every file and
+// directory goes, and the bind table with them. Device nodes, sealed
+// subtrees and the directories that shelter them stay, for the reasons
+// Dump skips them. The mutation observer hears nothing.
+func (fs *FS) Reset() {
 	fs.lock()
 	defer fs.unlock()
-	saved := fs.st.onMutate
-	fs.st.onMutate = nil
-	defer func() { fs.st.onMutate = saved }()
-
-	keep := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		keep[e.Path] = true
-	}
-	// Remove files the snapshot doesn't have, then repeatedly remove
-	// newly empty directories (bottom-up via path-length sort).
-	var prune func(p string, n *node)
-	prune = func(p string, n *node) {
+	var prune func(n *node)
+	prune = func(n *node) {
 		for name, c := range n.children {
-			cp := path.Join(p, name)
-			if c.device != nil || c.sealed {
-				continue
-			}
-			if c.dir {
-				prune(cp, c)
-				if len(c.children) == 0 && !keep[cp] {
+			switch {
+			case c.device != nil || c.sealed:
+			case c.dir:
+				prune(c)
+				if len(c.children) == 0 {
 					delete(n.children, name)
 				}
-			} else if !keep[cp] {
+			default:
 				delete(n.children, name)
 			}
 		}
 	}
-	prune("/", fs.st.root)
-
-	for _, e := range entries {
-		if e.Dir {
-			if err := fs.mkdirAll(e.Path); err != nil {
-				return err
-			}
-		}
-	}
-	for _, e := range entries {
-		if !e.Dir {
-			if err := fs.writeFile(e.Path, e.Data); err != nil {
-				return err
-			}
-		}
-	}
-	fs.st.binds = make(map[string][]string, len(binds))
-	for mp, srcs := range binds {
-		fs.st.binds[mp] = append([]string(nil), srcs...)
-	}
-	return nil
+	prune(fs.st.root)
+	fs.st.binds = map[string][]string{}
 }

@@ -412,14 +412,26 @@ func (fs *FS) find(p string) (*node, error) {
 func (fs *FS) Bind(src, mp string, flag BindFlag) error {
 	fs.lock()
 	defer fs.unlock()
-	return fs.bind(src, mp, flag)
+	return fs.bind(src, mp, flag, true)
 }
 
-func (fs *FS) bind(src, mp string, flag BindFlag) error {
+// ReplayBind is Bind for a bind that was accepted once already, as a
+// journal replays it. It does not look at the source again: since it
+// was bound the source may have been removed, or it may resolve only
+// through a bind that the replay restores later.
+func (fs *FS) ReplayBind(src, mp string, flag BindFlag) error {
+	fs.lock()
+	defer fs.unlock()
+	return fs.bind(src, mp, flag, false)
+}
+
+func (fs *FS) bind(src, mp string, flag BindFlag, check bool) error {
 	fs.st.bindsCtr.Inc()
 	src, mp = Clean(src), Clean(mp)
-	if _, err := fs.find(src); err != nil {
-		return fmt.Errorf("bind %s: %w", src, err)
+	if check {
+		if _, err := fs.find(src); err != nil {
+			return fmt.Errorf("bind %s: %w", src, err)
+		}
 	}
 	switch flag {
 	case Replace:

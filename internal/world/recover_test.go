@@ -25,10 +25,10 @@ func (c countFS) Create(name string) (journal.File, error) {
 	}
 	return countFile{f: f, n: c.n}, nil
 }
-func (c countFS) ReadFile(name string) ([]byte, error)  { return c.inner.ReadFile(name) }
-func (c countFS) Rename(oldname, newname string) error  { return c.inner.Rename(oldname, newname) }
-func (c countFS) Remove(name string) error              { return c.inner.Remove(name) }
-func (c countFS) List() ([]string, error)               { return c.inner.List() }
+func (c countFS) ReadFile(name string) ([]byte, error) { return c.inner.ReadFile(name) }
+func (c countFS) Rename(oldname, newname string) error { return c.inner.Rename(oldname, newname) }
+func (c countFS) Remove(name string) error             { return c.inner.Remove(name) }
+func (c countFS) List() ([]string, error)              { return c.inner.List() }
 
 type countFile struct {
 	f journal.File
