@@ -1,7 +1,6 @@
 # Convenience targets for the help reproduction.
 
 GO ?= go
-GOFMT ?= gofmt
 
 .PHONY: all test vet fmtcheck bench figs tables race stress soak chaos fuzz cover clean
 
@@ -21,9 +20,10 @@ vet: fmtcheck
 	$(GO) vet ./...
 
 # Fail when gofmt would change any Go file of the main module
-# (perfbench/ is a module of its own; testdata is not compiled).
+# (perfbench/ is a module of its own; testdata is not compiled). The
+# gofmt is the one that ships with $(GO).
 fmtcheck:
-	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path './perfbench/*' -not -path './.*' -not -path '*/testdata/*')); \
+	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l $$(find . -name '*.go' -not -path './perfbench/*' -not -path './.*' -not -path '*/testdata/*')) || exit 1; \
 	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # Bench evidence loop: run the suite serially three times (separate

@@ -21,7 +21,10 @@ func FuzzJournalDecode(f *testing.F) {
 		f.Add(appendRecord(seg, &op))
 		f.Add(encodeCheckpoint(op.Gen, []Op{op}))
 	}
-	// A record continued across two frames.
+	// A record continued across two frames. A real one is longer than
+	// MaxRecord, too big for a seed; this one's first frame is short,
+	// which the reader refuses, but it leads the fuzzer into the
+	// continued-frame path.
 	split := Op{Kind: OpSplice, Gen: 2, Win: 1, Sub: 1, Str1: "continued"}
 	f.Add(append(appendSegmentHeader(nil, 0), splitFrames(appendOpPayload(nil, &split), 5)...))
 	// A checkpoint as a session writes one.

@@ -7,9 +7,10 @@
 //     stamped with a strictly increasing generation number.
 //   - An Op is written as one record of one or more frames, each
 //     [4-byte length word][4-byte CRC32-C][payload]. A frame holds at
-//     most MaxRecord payload bytes; a longer record is split across
-//     frames, and the top bit of a frame's length word says another
-//     frame of the same record follows (LevelDB's log does the same).
+//     most MaxRecord payload bytes; a longer record is split into full
+//     MaxRecord frames and a last shorter one, and the top bit of a
+//     frame's length word says another frame of the same record follows
+//     (LevelDB's log does the same).
 //     Records are appended to segment files named wal-<gen>.log, where
 //     <gen> is the generation of the checkpoint the segment follows.
 //   - Periodically the whole session is written as a checkpoint: the
@@ -102,7 +103,7 @@ type Op struct {
 // tell a torn header from a foreign file.
 const (
 	segMagic  = "HELPWAL1"
-	ckptMagic = "HELPCKP1"
+	ckptMagic = "HELPCKP2"
 
 	segHeaderLen  = 16 // magic + base generation
 	recHeaderLen  = 8  // length word + CRC32
@@ -297,51 +298,63 @@ func EncodeOp(op *Op) []byte {
 	return appendRecord(make([]byte, 0, recordCap(op)), op)
 }
 
-// nextRecord reads the framing of the record at b[off:] and returns its
-// payload — in place when the record is one frame, its frames joined
-// into a fresh buffer otherwise — and the offset just past it. A record
-// that b cuts short, or whose final frame ends b with a bad checksum (a
-// torn in-place write), is reported through torn; damage that no crash
-// can produce is reported through bad. At most one of the two is set.
-func nextRecord(b []byte, off int) (payload []byte, next int, torn, bad string) {
-	start, size, frames := off, 0, 0
+// skipRecord checks the framing of the record at b[off:] and returns
+// the offset just past it. A record that b cuts short, or whose final
+// frame ends b with a bad checksum (a torn in-place write), is reported
+// through torn; damage that no crash can produce is reported through
+// bad. At most one of the two is set.
+func skipRecord(b []byte, off int) (next int, torn, bad string) {
 	for {
 		if off+recHeaderLen > len(b) {
-			return nil, 0, "torn record header", ""
+			return 0, "torn record header", ""
 		}
 		word := binary.LittleEndian.Uint32(b[off : off+4])
 		n := int(word &^ frameMore)
 		if n > MaxRecord {
 			// An absurd length is a flipped bit, not a torn write.
-			return nil, 0, "", fmt.Sprintf("record length %d", n)
+			return 0, "", fmt.Sprintf("record length %d", n)
+		}
+		if word&frameMore != 0 && n != MaxRecord {
+			// The writer continues a record only past a full frame. The
+			// checksum does not cover frameMore, so this is what
+			// catches the bit flipped on.
+			return 0, "", fmt.Sprintf("continued frame length %d", n)
 		}
 		if off+recHeaderLen+n > len(b) {
-			return nil, 0, "torn record body", ""
+			return 0, "torn record body", ""
 		}
 		body := b[off+recHeaderLen : off+recHeaderLen+n]
 		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[off+4:off+8]) {
 			if off+recHeaderLen+n == len(b) {
-				return nil, 0, "checksum mismatch on final record", ""
+				return 0, "checksum mismatch on final record", ""
 			}
-			return nil, 0, "", "record checksum"
+			return 0, "", "record checksum"
 		}
 		off += recHeaderLen + n
-		size += n
-		frames++
 		if word&frameMore == 0 {
-			break
+			return off, "", ""
 		}
 	}
-	if frames == 1 {
-		return b[start+recHeaderLen : off], off, "", ""
+}
+
+// nextRecord frames the record at b[off:] as skipRecord does and
+// returns its payload too: in place when the record is one frame, its
+// frames joined into a fresh buffer otherwise.
+func nextRecord(b []byte, off int) (payload []byte, next int, torn, bad string) {
+	next, torn, bad = skipRecord(b, off)
+	if torn != "" || bad != "" {
+		return nil, 0, torn, bad
 	}
-	payload = make([]byte, 0, size)
-	for p := start; p < off; {
+	if binary.LittleEndian.Uint32(b[off:off+4])&frameMore == 0 {
+		return b[off+recHeaderLen : next], next, "", ""
+	}
+	payload = make([]byte, 0, next-off)
+	for p := off; p < next; {
 		n := int(binary.LittleEndian.Uint32(b[p:p+4]) &^ frameMore)
 		payload = append(payload, b[p+recHeaderLen:p+recHeaderLen+n]...)
 		p += recHeaderLen + n
 	}
-	return payload, off, "", ""
+	return payload, next, "", ""
 }
 
 // segmentName returns the file name for the segment holding ops after
@@ -401,6 +414,10 @@ func checkpointPayload(b []byte) (gen uint64, payload []byte, err error) {
 	if len(b) < ckptHeaderLen {
 		return 0, nil, fmt.Errorf("%w: checkpoint truncated", ErrCorrupt)
 	}
+	if string(b[:8]) == "HELPCKP1" {
+		// The retired snapshot format: not damage, but unreadable here.
+		return 0, nil, errors.New("journal: checkpoint is in the retired HELPCKP1 snapshot format, which this version does not read")
+	}
 	if string(b[:8]) != ckptMagic {
 		return 0, nil, fmt.Errorf("%w: checkpoint magic", ErrCorrupt)
 	}
@@ -442,7 +459,7 @@ func decodeCheckpoint(b []byte) (gen uint64, ops []Op, err error) {
 // whole-record boundary: the end of the header, then the end of each
 // well-formed record (after its last frame). Crash-matrix tests
 // truncate at (and between) these offsets. Scanning stops at the first
-// malformed record.
+// malformed record. It checks framing only and copies no payload.
 func RecordEnds(seg []byte) []int {
 	var ends []int
 	if len(seg) < segHeaderLen || string(seg[:8]) != segMagic {
@@ -451,7 +468,7 @@ func RecordEnds(seg []byte) []int {
 	off := segHeaderLen
 	ends = append(ends, off)
 	for off < len(seg) {
-		_, next, torn, bad := nextRecord(seg, off)
+		next, torn, bad := skipRecord(seg, off)
 		if torn != "" || bad != "" {
 			break
 		}

@@ -58,8 +58,9 @@ func TestEncodeOpOneAllocation(t *testing.T) {
 }
 
 // splitFrames frames payload as one record of two frames, the first
-// holding payload[:at] and flagged frameMore. The writer only splits at
-// MaxRecord, but the reader joins frames of any size.
+// holding payload[:at] and flagged frameMore. The writer continues a
+// record only past a full MaxRecord frame, so for any other at the
+// reader must refuse the result.
 func splitFrames(payload []byte, at int) []byte {
 	var out []byte
 	for i, part := range [][]byte{payload[:at], payload[at:]} {
@@ -75,37 +76,28 @@ func splitFrames(payload []byte, at int) []byte {
 	return out
 }
 
-// A record split across frames loads as one op, counts as one record
-// end, and a segment cut anywhere inside it is torn, not corrupt.
-func TestContinuedFramesJoin(t *testing.T) {
+// The checksum does not cover frameMore, so the frame length is what
+// tells a flipped bit from a continued record: a continued frame
+// shorter than MaxRecord is corruption, even as the final record of the
+// final segment, never a torn tail to discard.
+func TestContinuedFrameShortIsCorrupt(t *testing.T) {
 	ops := []Op{
 		{Kind: OpSnarf, Gen: 1, Str1: "before"},
-		{Kind: OpSplice, Gen: 2, Win: 1, Sub: 1, Str1: "joined across two frames"},
+		{Kind: OpSplice, Gen: 2, Win: 1, Sub: 1, Str1: "the final record"},
 	}
 	seg := appendRecord(appendSegmentHeader(nil, 0), &ops[0])
-	first := len(seg)
-	seg = append(seg, splitFrames(appendOpPayload(nil, &ops[1]), 9)...)
-	fs := NewMemFS()
-	fs.WriteFile(segmentName(0), seg)
-	st, err := Load(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Torn || len(st.Ops) != 2 || st.Ops[0] != ops[0] || st.Ops[1] != ops[1] {
-		t.Fatalf("loaded %+v (torn %v)", st.Ops, st.Torn)
-	}
-	if ends := RecordEnds(seg); len(ends) != 3 || ends[1] != first || ends[2] != len(seg) {
-		t.Fatalf("RecordEnds = %v, want [%d %d %d]", ends, segHeaderLen, first, len(seg))
-	}
-	for n := first + 1; n < len(seg); n++ {
-		cut := NewMemFS()
-		cut.WriteFile(segmentName(0), seg[:n])
-		st, err := Load(cut)
-		if err != nil {
-			t.Fatalf("cut at %d: %v", n, err)
+	last := len(seg)
+	flipped := appendRecord(seg[:last:last], &ops[1])
+	flipped[last+3] ^= 0x80 // bit 31 of the final record's length word
+	split := append(seg[:last:last], splitFrames(appendOpPayload(nil, &ops[1]), 9)...)
+	for name, b := range map[string][]byte{"frameMore flipped on": flipped, "short continued frame": split} {
+		fs := NewMemFS()
+		fs.WriteFile(segmentName(0), b)
+		if st, err := Load(fs); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load = %+v, %v; want ErrCorrupt", name, st, err)
 		}
-		if !st.Torn || len(st.Ops) != 1 {
-			t.Fatalf("cut at %d: %d ops, torn %v", n, len(st.Ops), st.Torn)
+		if ends := RecordEnds(b); len(ends) != 2 || ends[1] != last {
+			t.Errorf("%s: RecordEnds = %v, want [%d %d]", name, ends, segHeaderLen, last)
 		}
 	}
 }
@@ -609,5 +601,37 @@ func TestCheckpointCorruptIsError(t *testing.T) {
 	fs.WriteFile("checkpoint", b)
 	if _, err := Load(fs); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt checkpoint: got %v, want ErrCorrupt", err)
+	}
+}
+
+// A checkpoint in the retired HELPCKP1 snapshot format is reported as
+// unsupported, not as damage, and a writer opened over it still works:
+// its first checkpoint replaces the old one.
+func TestOldCheckpointIsUnsupported(t *testing.T) {
+	payload := []byte("HELPSNAP\x01 snapshot bytes")
+	old := make([]byte, ckptHeaderLen, ckptHeaderLen+len(payload))
+	copy(old, "HELPCKP1")
+	binary.LittleEndian.PutUint64(old[8:16], 5)
+	binary.LittleEndian.PutUint32(old[16:20], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(old[20:24], crc32.Checksum(payload, crcTable))
+	old = append(old, payload...)
+	fs := NewMemFS()
+	fs.WriteFile("checkpoint", old)
+	_, err := Load(fs)
+	if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "retired HELPCKP1 snapshot format") {
+		t.Fatalf("old checkpoint: got %v, want an unsupported-format error, not ErrCorrupt", err)
+	}
+
+	w, err := Open(fs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Checkpoint([]Op{{Kind: OpSession, P0: 80, P1: 24, P2: 1}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Load(fs)
+	if err != nil || len(st.Checkpoint) != 1 || st.Checkpoint[0].Kind != OpSession {
+		t.Fatalf("after a new checkpoint: %+v, %v", st, err)
 	}
 }

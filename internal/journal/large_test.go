@@ -9,6 +9,7 @@ package journal
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,16 @@ func TestRecordLongerThanMaxRecord(t *testing.T) {
 	first := ends[1] // the big record's first frame header
 	if word := binary.LittleEndian.Uint32(seg[first:]); word&frameMore == 0 || word&^frameMore != MaxRecord {
 		t.Fatalf("first frame length word %#x, want MaxRecord with frameMore", word)
+	}
+	// Opening a writer scans every segment for its highest generation,
+	// which it reads in place: it allocates the segment it reads, and
+	// neither joins the big record's frames nor copies its text.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	maxGen, err := scanMaxGen(fs)
+	runtime.ReadMemStats(&m1)
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; err != nil || maxGen != 3 || alloc > uint64(len(seg))+1<<20 {
+		t.Fatalf("scanMaxGen = %d, %v, allocating %d bytes for a %d-byte segment", maxGen, err, alloc, len(seg))
 	}
 	second := first + recHeaderLen + MaxRecord
 	for _, n := range []int{second, second + 3, second + recHeaderLen + 10, ends[2] - 1} {

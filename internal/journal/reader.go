@@ -32,6 +32,8 @@ type State struct {
 //
 //   - The checkpoint file, if present, must decode exactly, records
 //     and all; it is written atomically, so any damage is ErrCorrupt.
+//     One in the retired HELPCKP1 snapshot format is refused as
+//     unsupported, not corrupt.
 //   - Only segments with base >= the checkpoint generation are
 //     replayed; older ones are pre-compaction leftovers and ignored.
 //   - Within the segment sequence, every record must frame and decode

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -458,25 +459,17 @@ func scanMaxGen(fsys Fsys) (uint64, error) {
 		if err != nil {
 			continue
 		}
-		for _, op := range scanOps(b) {
-			if op.Gen > max {
-				max = op.Gen
+		// Read each well-formed record's generation in place: a payload
+		// opens with the kind byte and then the generation, both inside
+		// the record's first frame.
+		ends := RecordEnds(b)
+		for i := 1; i < len(ends); i++ {
+			if p := b[ends[i-1]+recHeaderLen : ends[i]]; len(p) > 1 {
+				if gen, n := binary.Uvarint(p[1:]); n > 0 && gen > max {
+					max = gen
+				}
 			}
 		}
 	}
 	return max, nil
-}
-
-// scanOps decodes as many well-formed records as possible, ignoring
-// any damage. Used only for generation scanning, never for replay.
-func scanOps(seg []byte) []Op {
-	var ops []Op
-	ends := RecordEnds(seg)
-	for i := 1; i < len(ends); i++ {
-		payload, _, _, _ := nextRecord(seg, ends[i-1])
-		if op, err := decodeOpPayload(payload); err == nil {
-			ops = append(ops, op)
-		}
-	}
-	return ops
 }
