@@ -9,9 +9,12 @@ all: test
 # Tier-1: gofmt check, build, vet, plain tests, then a race-checked
 # pass so the concurrent srvnet/faultnet paths are exercised on every
 # change. The chaos harness rides along as a small smoke (24 users);
-# `make chaos` runs the full fleet.
+# `make chaos` runs the full fleet. perfbench is a module of its own,
+# which ./... skips, so it is vetted and smoke-tested separately: an
+# internal API change that breaks the benchmark fails here.
 test: fmtcheck
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./...
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 race:
 	$(GO) test -race ./...

@@ -35,8 +35,7 @@ func main() {
 	fmt.Print(headers.Body.String())
 
 	// Point at Sean's header and pop the message.
-	body := headers.Body.String()
-	off := indexRunes(body, "sean")
+	off := max(headers.Body.Index("sean", 0, headers.Body.Len()), 0)
 	headers.SetSelection(core.SubBody, off, off)
 	h.SetCurrent(headers, core.SubBody)
 	h.Execute(mailStf, "messages")
@@ -64,13 +63,4 @@ grep -n 'TLB miss' /mnt/help/*/body | sed 3q > /mnt/help/$x/bodyapp
 	report := h.WindowByName("/report")
 	fmt.Println("\nreport window (built by a shell script through /mnt/help):")
 	fmt.Print(report.Body.String())
-}
-
-func indexRunes(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return len([]rune(s[:i]))
-		}
-	}
-	return 0
 }

@@ -355,12 +355,10 @@ func (h *Help) patternCmd(args []string) {
 		h.appendErrors("Pattern: no pattern\n")
 		return
 	}
-	body := cw.Body.String()
-	runes := []rune(body)
-	start := cw.Sel[SubBody].Q1
-	idx := indexRunes(runes, []rune(pat), start)
+	body := cw.Body
+	idx := body.Index(pat, cw.Sel[SubBody].Q1, body.Len())
 	if idx < 0 {
-		idx = indexRunes(runes, []rune(pat), 0) // wrap
+		idx = body.Index(pat, 0, body.Len()) // wrap
 	}
 	if idx < 0 {
 		h.appendErrors(fmt.Sprintf("Pattern: %q not found\n", pat))
@@ -369,26 +367,6 @@ func (h *Help) patternCmd(args []string) {
 	cw.Sel[SubBody] = Selection{idx, idx + len([]rune(pat))}
 	cw.scrollTo(idx)
 	h.setCurrent(cw, SubBody)
-}
-
-// indexRunes finds needle in hay at or after rune offset from.
-func indexRunes(hay, needle []rune, from int) int {
-	if from < 0 {
-		from = 0
-	}
-	for i := from; i+len(needle) <= len(hay); i++ {
-		match := true
-		for j := range needle {
-			if hay[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
-	}
-	return -1
 }
 
 // textCmd types its argument over the current selection, leaving the

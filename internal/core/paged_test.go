@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -178,5 +179,39 @@ func TestClonePaged(t *testing.T) {
 	}
 	if nw.fileGen != w.fileGen {
 		t.Errorf("clone fileGen = %d, want %d", nw.fileGen, w.fileGen)
+	}
+}
+
+// TestFindBodyPagedOffScreen: FindBody searches only the laid-out part
+// of the body, in place, so a match that lies off screen in a 4 MiB
+// paged body is not found and costs no copy of the body.
+func TestFindBodyPagedOffScreen(t *testing.T) {
+	h, fs := world(t)
+	h.SetLimits(Limits{MaxResident: 32 << 10})
+	body := bigBody(4 << 20)
+	name := "/usr/rob/lib/trace.log"
+	fs.WriteFile(name, []byte(body))
+	w, err := h.OpenFile(name, "")
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	if !w.Body.Paged() {
+		t.Fatal("4 MiB body did not open paged")
+	}
+	h.Render()
+	if _, ok := h.FindBody(w, "line 0:"); !ok {
+		t.Fatal("FindBody missed the first line, which is on screen")
+	}
+	last := body[strings.LastIndex(body[:len(body)-1], "\n")+1:]
+	pat := last[:strings.Index(last, ":")+1] // "line N:" of the last line only
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, ok := h.FindBody(w, pat)
+	runtime.ReadMemStats(&m1)
+	if ok {
+		t.Fatalf("FindBody(%q) found a match off screen", pat)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("FindBody allocated %d bytes, want under 64 KiB", alloc)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/draw"
@@ -398,30 +397,18 @@ func (h *Help) findIn(w *Window, sub int, substr string) (geom.Point, bool) {
 	if f == nil {
 		return geom.Point{}, false
 	}
-	content := w.Buffer(sub).String()
-	idx := 0
-	for {
-		i := indexFrom(content, substr, idx)
+	// Only a match that starts on screen can have a point.
+	buf := w.Buffer(sub)
+	for from := f.Org(); ; {
+		i := buf.Index(substr, from, f.MaxOff()+1)
 		if i < 0 {
 			return geom.Point{}, false
 		}
-		off := len([]rune(content[:i]))
-		if p, ok := f.PointOf(off); ok {
+		if p, ok := f.PointOf(i); ok {
 			return p, true
 		}
-		idx = i + 1
+		from = i + 1
 	}
-}
-
-func indexFrom(s, substr string, from int) int {
-	if from > len(s) {
-		return -1
-	}
-	i := strings.Index(s[from:], substr)
-	if i < 0 {
-		return -1
-	}
-	return from + i
 }
 
 // TabPoint returns the screen point of w's tab in its column's tower, so

@@ -1,6 +1,7 @@
 package text
 
 import (
+	"slices"
 	"sort"
 	"unicode/utf8"
 )
@@ -20,15 +21,14 @@ import (
 // without requiring the index to be materialized as one slice.
 type backing interface {
 	length() int
-	at(off int) rune
-	// appendRange appends the runes in [off, off+n) to dst and returns
-	// it. The range must be within bounds.
-	appendRange(dst []rune, off, n int) []rune
-	insert(off int, rs []rune)
-	// remove deletes [off, off+n). The removed runes are returned only
-	// when want is true; undo replay and wholesale reloads pass false so
-	// a paged backing never materializes text nobody will look at.
-	remove(off, n int, want bool) []rune
+	// run returns the stored run of runes that holds off (0 <= off <
+	// length) and the offset of the run's first rune. The run aliases
+	// storage: it stays valid only until the next insert or remove.
+	run(off int) (rs []rune, start int)
+	// insert decodes s, which holds n > 0 runes, into storage at off.
+	insert(off int, s string, n int)
+	// remove deletes [off, off+n), n > 0.
+	remove(off, n int)
 
 	nNewlines() int
 	newlineOff(i int) int
@@ -55,18 +55,32 @@ type backing interface {
 	clone() backing
 }
 
-// runesByteLen returns the UTF-8 encoded length of rs, matching what
-// string(rs) would produce (invalid runes encode as U+FFFD).
+// runesByteLen returns the UTF-8 encoded length of rs. Storage holds
+// only runes decoded from UTF-8 (an invalid byte decodes to U+FFFD), so
+// utf8.RuneLen of a stored rune is never negative.
 func runesByteLen(rs []rune) int64 {
-	var n int64
+	n := int64(len(rs))
 	for _, r := range rs {
-		sz := utf8.RuneLen(r)
-		if sz < 0 {
-			sz = utf8.RuneLen(utf8.RuneError)
+		if r >= utf8.RuneSelf {
+			n += int64(utf8.RuneLen(r)) - 1
 		}
-		n += int64(sz)
 	}
 	return n
+}
+
+// byteSeek returns the index of the rune of rs that holds encoded byte
+// offset target and the byte offset at which that rune starts; past the
+// end it returns len(rs) and the encoded length of rs.
+func byteSeek(rs []rune, target int64) (int, int64) {
+	var bo int64
+	for k, r := range rs {
+		sz := int64(utf8.RuneLen(r))
+		if bo+sz > target {
+			return k, bo
+		}
+		bo += sz
+	}
+	return len(rs), bo
 }
 
 // memBacking is the original storage: a gap buffer of runes plus a flat
@@ -89,26 +103,12 @@ func newMemBacking() *memBacking { return &memBacking{} }
 
 func (m *memBacking) length() int { return len(m.runes) - (m.gapEnd - m.gapStart) }
 
-func (m *memBacking) at(off int) rune {
+// run returns the half of the gap buffer on off's side of the gap.
+func (m *memBacking) run(off int) ([]rune, int) {
 	if off < m.gapStart {
-		return m.runes[off]
+		return m.runes[:m.gapStart], 0
 	}
-	return m.runes[off+(m.gapEnd-m.gapStart)]
-}
-
-func (m *memBacking) appendRange(dst []rune, off, n int) []rune {
-	// Bulk path: at most two copies, the parts before and after the gap.
-	gap := m.gapEnd - m.gapStart
-	switch end := off + n; {
-	case end <= m.gapStart:
-		dst = append(dst, m.runes[off:end]...)
-	case off >= m.gapStart:
-		dst = append(dst, m.runes[off+gap:end+gap]...)
-	default:
-		dst = append(dst, m.runes[off:m.gapStart]...)
-		dst = append(dst, m.runes[m.gapEnd:end+gap]...)
-	}
-	return dst
+	return m.runes[m.gapEnd:], m.gapStart
 }
 
 // moveGap positions the gap at rune offset off.
@@ -144,36 +144,29 @@ func (m *memBacking) grow(n int) {
 	m.runes = nr
 }
 
-func (m *memBacking) insert(off int, rs []rune) {
-	if len(rs) == 0 {
-		return
-	}
-	m.grow(len(rs))
+func (m *memBacking) insert(off int, s string, n int) {
+	m.grow(n)
 	m.moveGap(off)
-	copy(m.runes[m.gapStart:], rs)
-	m.gapStart += len(rs)
+	rs := m.runes[m.gapStart : m.gapStart+n]
+	i := 0
+	for _, r := range s {
+		rs[i] = r
+		i++
+	}
+	m.gapStart += n
 	m.indexInsert(off, rs)
 	if m.onMem != nil {
-		m.onMem(len(rs))
+		m.onMem(n)
 	}
 }
 
-func (m *memBacking) remove(off, n int, want bool) []rune {
-	if n == 0 {
-		return nil
-	}
+func (m *memBacking) remove(off, n int) {
 	m.moveGap(off)
-	var removed []rune
-	if want {
-		removed = make([]rune, n)
-		copy(removed, m.runes[m.gapEnd:m.gapEnd+n])
-	}
 	m.gapEnd += n
 	m.indexDelete(off, n)
 	if m.onMem != nil {
 		m.onMem(-n)
 	}
-	return removed
 }
 
 // indexInsert splices rs's newlines into the line index and shifts every
@@ -189,10 +182,7 @@ func (m *memBacking) indexInsert(off int, rs []rune) {
 	i := sort.SearchInts(m.newlines, off)
 	if count > 0 {
 		old := len(m.newlines)
-		for len(m.newlines) < old+count {
-			// Amortized growth; no temporary slice of the added offsets.
-			m.newlines = append(m.newlines, 0)
-		}
+		m.newlines = slices.Grow(m.newlines, count)[:old+count]
 		copy(m.newlines[i+count:], m.newlines[i:old])
 		idx := i
 		for j, r := range rs {
@@ -236,19 +226,12 @@ func (m *memBacking) bytesTotal() int64 {
 }
 
 func (m *memBacking) seekByte(off int64) (int, int64) {
-	var bo int64
-	n := m.length()
-	for ro := 0; ro < n; ro++ {
-		sz := utf8.RuneLen(m.at(ro))
-		if sz < 0 {
-			sz = utf8.RuneLen(utf8.RuneError)
-		}
-		if bo+int64(sz) > off {
-			return ro, bo
-		}
-		bo += int64(sz)
+	k, bo := byteSeek(m.runes[:m.gapStart], off)
+	if k == m.gapStart {
+		k2, bo2 := byteSeek(m.runes[m.gapEnd:], off-bo)
+		k, bo = k+k2, bo+bo2
 	}
-	return n, bo
+	return k, bo
 }
 
 func (m *memBacking) clone() backing {

@@ -7,6 +7,12 @@
 // live in the original in-memory gap buffer, while large files use a piece
 // table over lazily paged-in file segments (see LoadPaged) so a gigabyte log
 // costs memory proportional to what is being looked at, not to its size.
+// Both backings are read through one primitive, the stored run of runes
+// that holds an offset (a gap-buffer half, an add-store span, or the part
+// of one page inside a piece), and are written from strings decoded
+// straight into storage. At caches the last run it read; Slice, String and
+// Index read runs in place; the undo log keeps each change's text as a
+// string, so no []rune copy of the text is made on the way in or out.
 // The package also resolves the location syntax accepted by the Open
 // command — :27 line numbers, and the "general locations" the paper
 // mentions (:/pattern/ searches and :#offset character addresses), which we
@@ -17,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Buffer is an editable sequence of runes.
@@ -27,21 +34,21 @@ import (
 type Buffer struct {
 	back backing
 
-	// mem is back when back is the resident gap buffer, else nil. It
-	// exists so the per-rune hot path (Len, At — called once per cell
-	// by every reflow) dispatches on a concrete type the compiler can
-	// inline instead of paying two interface calls per rune.
-	mem *memBacking
+	// run is the stored run that holds the offset At last fetched, and
+	// runOff the offset of its first rune. Every edit and backing swap
+	// clears it, so the per-rune hot path (At, called once per cell by
+	// every reflow) is one slice index whichever backing is underneath.
+	run    []rune
+	runOff int
 
 	// gen counts primitive edits (including undo/redo replay). Frames
 	// compare it against the generation they laid out to decide whether
 	// a relayout is needed.
 	gen uint64
 
-	undo   []change
-	redo   []change
-	seq    int  // current transaction sequence number
-	noUndo bool // true while replaying undo/redo
+	undo []change
+	redo []change
+	seq  int // current transaction sequence number
 
 	// Clean-state tracking for Modified: cleanLen is the undo-log length
 	// at the last SetClean (or creation); cleanGone is set once that
@@ -72,16 +79,14 @@ type change struct {
 	seq    int
 	insert bool   // true: text was inserted at off; false: deleted
 	off    int    // rune offset of the edit
-	text   []rune // the inserted or deleted text
+	n      int    // rune count of text
+	text   string // the inserted or deleted text
 }
 
 // NewBuffer returns a buffer initialized with the given text.
 func NewBuffer(s string) *Buffer {
-	m := newMemBacking()
-	b := &Buffer{back: m, mem: m}
-	b.primInsert(0, []rune(s))
-	b.undo = nil // initial content is not undoable
-	b.modified = false
+	b := &Buffer{}
+	b.Load(s)
 	return b
 }
 
@@ -89,20 +94,13 @@ func NewBuffer(s string) *Buffer {
 // use so the zero-value Buffer stays ready to use.
 func (b *Buffer) bk() backing {
 	if b.back == nil {
-		m := newMemBacking()
-		b.back = m
-		b.mem = m
+		b.back = newMemBacking()
 	}
 	return b.back
 }
 
 // Len returns the number of runes in the buffer.
-func (b *Buffer) Len() int {
-	if m := b.mem; m != nil {
-		return m.length()
-	}
-	return b.bk().length()
-}
+func (b *Buffer) Len() int { return b.bk().length() }
 
 // MemRunes returns the number of runes resident in process memory. For an
 // in-memory buffer this equals Len; for a paged buffer it is the cached
@@ -152,51 +150,52 @@ func (b *Buffer) recomputeModified() {
 // damage checks rely on.
 func (b *Buffer) Gen() uint64 { return b.gen }
 
-// primInsert inserts without recording undo.
-func (b *Buffer) primInsert(off int, rs []rune) {
+// primInsert inserts s, which holds n > 0 runes, without recording undo.
+func (b *Buffer) primInsert(off int, s string, n int) {
 	if off < 0 || off > b.Len() {
 		panic(fmt.Sprintf("text: insert offset %d out of range [0,%d]", off, b.Len()))
 	}
-	b.bk().insert(off, rs)
+	b.bk().insert(off, s, n)
+	b.run = nil
 	b.gen++
 	if b.onSplice != nil {
-		b.onSplice(off, 0, string(rs))
+		b.onSplice(off, 0, s)
 	}
 }
 
-// primDelete deletes without recording undo. The removed runes are
-// materialized and returned only when want is true; undo replay of an
-// insert and wholesale reloads pass false, which lets a paged backing
-// drop piece references without faulting their pages in.
-func (b *Buffer) primDelete(off, n int, want bool) []rune {
+// primDelete deletes n > 0 runes without recording undo.
+func (b *Buffer) primDelete(off, n int) {
 	if off < 0 || n < 0 || off+n > b.Len() {
 		panic(fmt.Sprintf("text: delete [%d,%d) out of range [0,%d]", off, off+n, b.Len()))
 	}
-	removed := b.bk().remove(off, n, want)
+	b.bk().remove(off, n)
+	b.run = nil
 	b.gen++
 	if b.onSplice != nil {
 		b.onSplice(off, n, "")
 	}
-	return removed
+}
+
+// record appends c to the undo log. A fresh edit truncates the redo
+// history; if the clean state lived there, it is no longer reachable by
+// Undo/Redo.
+func (b *Buffer) record(c change) {
+	if b.cleanLen > len(b.undo) {
+		b.cleanGone = true
+	}
+	b.undo = append(b.undo, c)
+	b.redo = nil
+	b.recomputeModified()
 }
 
 // Insert inserts s at rune offset off.
 func (b *Buffer) Insert(off int, s string) {
-	rs := []rune(s)
-	if len(rs) == 0 {
+	if s == "" {
 		return
 	}
-	b.primInsert(off, rs)
-	if !b.noUndo {
-		if b.cleanLen > len(b.undo) {
-			// The clean state lived in the redo history about to be
-			// truncated; it is no longer reachable by Undo/Redo.
-			b.cleanGone = true
-		}
-		b.undo = append(b.undo, change{seq: b.seq, insert: true, off: off, text: rs})
-		b.redo = nil
-	}
-	b.recomputeModified()
+	n := utf8.RuneCountInString(s)
+	b.primInsert(off, s, n)
+	b.record(change{seq: b.seq, insert: true, off: off, n: n, text: s})
 }
 
 // Delete removes n runes starting at off and returns them as a string.
@@ -204,16 +203,10 @@ func (b *Buffer) Delete(off, n int) string {
 	if n == 0 {
 		return ""
 	}
-	removed := b.primDelete(off, n, true)
-	if !b.noUndo {
-		if b.cleanLen > len(b.undo) {
-			b.cleanGone = true
-		}
-		b.undo = append(b.undo, change{seq: b.seq, insert: false, off: off, text: removed})
-		b.redo = nil
-	}
-	b.recomputeModified()
-	return string(removed)
+	s := b.Slice(off, n)
+	b.primDelete(off, n)
+	b.record(change{seq: b.seq, off: off, n: n, text: s})
+	return s
 }
 
 // Replace substitutes the range [off, off+n) with s as a single undo step.
@@ -230,45 +223,28 @@ func (b *Buffer) Commit() { b.seq++ }
 
 // Undo reverses the most recent transaction. It reports whether anything
 // was undone.
-func (b *Buffer) Undo() bool {
-	if len(b.undo) == 0 {
-		return false
-	}
-	b.noUndo = true
-	defer func() { b.noUndo = false }()
-	seq := b.undo[len(b.undo)-1].seq
-	for len(b.undo) > 0 && b.undo[len(b.undo)-1].seq == seq {
-		c := b.undo[len(b.undo)-1]
-		b.undo = b.undo[:len(b.undo)-1]
-		if c.insert {
-			b.primDelete(c.off, len(c.text), false)
-		} else {
-			b.primInsert(c.off, c.text)
-		}
-		b.redo = append(b.redo, c)
-	}
-	b.recomputeModified()
-	return true
-}
+func (b *Buffer) Undo() bool { return b.replay(&b.undo, &b.redo, false) }
 
 // Redo reapplies the most recently undone transaction. It reports whether
 // anything was redone.
-func (b *Buffer) Redo() bool {
-	if len(b.redo) == 0 {
+func (b *Buffer) Redo() bool { return b.replay(&b.redo, &b.undo, true) }
+
+// replay pops the newest transaction off from, applies each change
+// forward (redo) or backward (undo), and pushes it onto to.
+func (b *Buffer) replay(from, to *[]change, forward bool) bool {
+	if len(*from) == 0 {
 		return false
 	}
-	b.noUndo = true
-	defer func() { b.noUndo = false }()
-	seq := b.redo[len(b.redo)-1].seq
-	for len(b.redo) > 0 && b.redo[len(b.redo)-1].seq == seq {
-		c := b.redo[len(b.redo)-1]
-		b.redo = b.redo[:len(b.redo)-1]
-		if c.insert {
-			b.primInsert(c.off, c.text)
+	seq := (*from)[len(*from)-1].seq
+	for len(*from) > 0 && (*from)[len(*from)-1].seq == seq {
+		c := (*from)[len(*from)-1]
+		*from = (*from)[:len(*from)-1]
+		if c.insert == forward {
+			b.primInsert(c.off, c.text, c.n)
 		} else {
-			b.primDelete(c.off, len(c.text), false)
+			b.primDelete(c.off, c.n)
 		}
-		b.undo = append(b.undo, c)
+		*to = append(*to, c)
 	}
 	b.recomputeModified()
 	return true
@@ -282,24 +258,20 @@ func (b *Buffer) CanRedo() bool { return len(b.redo) > 0 }
 
 // At returns the rune at offset off. It panics if off is out of range.
 func (b *Buffer) At(off int) rune {
-	// Happy path only, kept small enough to inline into render loops;
-	// everything else — paged backing, out-of-range panic — is atSlow.
-	if m := b.mem; m != nil && off >= 0 {
-		if off < m.gapStart {
-			return m.runes[off]
-		}
-		if i := off + (m.gapEnd - m.gapStart); i < len(m.runes) {
-			return m.runes[i]
-		}
+	// Kept small enough to inline into render loops: a read inside the
+	// cached run is one slice index.
+	if uint(off-b.runOff) >= uint(len(b.run)) {
+		b.fill(off)
 	}
-	return b.atSlow(off)
+	return b.run[off-b.runOff]
 }
 
-func (b *Buffer) atSlow(off int) rune {
+// fill caches the stored run that holds off.
+func (b *Buffer) fill(off int) {
 	if off < 0 || off >= b.Len() {
 		panic(fmt.Sprintf("text: At(%d) out of range [0,%d)", off, b.Len()))
 	}
-	return b.bk().at(off)
+	b.run, b.runOff = b.bk().run(off)
 }
 
 // Slice returns the runes in [off, off+n) as a string, clamped to the
@@ -309,22 +281,55 @@ func (b *Buffer) Slice(off, n int) string {
 		n += off
 		off = 0
 	}
-	if off > b.Len() {
-		return ""
-	}
-	if off+n > b.Len() {
-		n = b.Len() - off
-	}
+	n = min(n, b.Len()-off)
 	if n <= 0 {
 		return ""
 	}
-	out := make([]rune, 0, n)
-	out = b.bk().appendRange(out, off, n)
-	return string(out)
+	return b.encode(off, n, n)
 }
 
 // String returns the whole buffer contents.
-func (b *Buffer) String() string { return b.Slice(0, b.Len()) }
+func (b *Buffer) String() string { return b.encode(0, b.Len(), int(b.bk().bytesTotal())) }
+
+// encode writes [off, off+n) run by run into a builder sized for size
+// bytes, so reading text copies it once, into the string. Runes are
+// encoded through a small stack buffer, which is much faster than one
+// WriteRune per rune.
+func (b *Buffer) encode(off, n, size int) string {
+	var sb strings.Builder
+	sb.Grow(size)
+	enc := make([]byte, 0, 1024)
+	for end := off + n; off < end; {
+		rs, start := b.bk().run(off)
+		for _, r := range rs[off-start : min(len(rs), end-start)] {
+			if len(enc) > cap(enc)-utf8.UTFMax {
+				sb.Write(enc)
+				enc = enc[:0]
+			}
+			enc = utf8.AppendRune(enc, r)
+		}
+		off = start + len(rs)
+	}
+	sb.Write(enc)
+	return sb.String()
+}
+
+// Index returns the offset of the first occurrence of pat that starts in
+// [from, end), or -1. It compares runes and reads the text in place.
+func (b *Buffer) Index(pat string, from, end int) int {
+	needle := []rune(pat)
+	end = min(end, b.Len()-len(needle)+1)
+	for i := max(from, 0); i < end; i++ {
+		j := 0
+		for j < len(needle) && b.At(i+j) == needle[j] {
+			j++
+		}
+		if j == len(needle) {
+			return i
+		}
+	}
+	return -1
+}
 
 // SetString replaces the entire contents as a single undoable transaction,
 // as the Get! command does.
@@ -357,14 +362,7 @@ func (b *Buffer) SetOnMem(fn func(delta int)) {
 // undo and redo histories are discarded; the splice observer, if any,
 // stays installed and sees the replacement as a delete plus an insert.
 func (b *Buffer) Load(s string) {
-	b.noUndo = true
-	if n := b.Len(); n > 0 {
-		b.primDelete(0, n, false)
-	}
-	if rs := []rune(s); len(rs) > 0 {
-		b.primInsert(0, rs)
-	}
-	b.noUndo = false
+	_ = b.ApplySplice(0, b.Len(), s) // the whole buffer is always in range
 	b.undo = nil
 	b.redo = nil
 	b.SetClean()
@@ -395,7 +393,7 @@ func (b *Buffer) swapBacking(nb backing) {
 		}
 	}
 	b.back = nb
-	b.mem, _ = nb.(*memBacking)
+	b.run = nil
 	if b.onMem != nil {
 		if n := nb.memRunes(); n != 0 {
 			b.onMem(n)
@@ -450,10 +448,10 @@ func (b *Buffer) ApplySplice(off, ndel int, ins string) error {
 		return fmt.Errorf("text: splice [%d,%d) out of range [0,%d]", off, off+ndel, b.Len())
 	}
 	if ndel > 0 {
-		b.primDelete(off, ndel, false)
+		b.primDelete(off, ndel)
 	}
-	if rs := []rune(ins); len(rs) > 0 {
-		b.primInsert(off, rs)
+	if ins != "" {
+		b.primInsert(off, ins, utf8.RuneCountInString(ins))
 	}
 	return nil
 }
@@ -536,18 +534,8 @@ func (b *Buffer) Address(addr string) (q0, q1 int, err error) {
 		if pat == "" {
 			return 0, 0, fmt.Errorf("text: empty pattern")
 		}
-		// Search rune-wise: a byte-level index could land inside a
-		// multi-byte rune and produce offsets past the buffer.
-		needle := []rune(pat)
-		n := b.Len()
-	search:
-		for i := 0; i+len(needle) <= n; i++ {
-			for j, r := range needle {
-				if b.At(i+j) != r {
-					continue search
-				}
-			}
-			return i, i + len(needle), nil
+		if i := b.Index(pat, 0, b.Len()); i >= 0 {
+			return i, i + utf8.RuneCountInString(pat), nil
 		}
 		return 0, 0, ErrNoMatch
 	default:

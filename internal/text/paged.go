@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"unicode/utf8"
 )
@@ -464,47 +465,19 @@ func (pb *pagedBacking) pageFor(fr int) (*page, int) {
 	return pb.fault(no), fr - pb.idx.cumR[no]
 }
 
-func (pb *pagedBacking) at(off int) rune {
+// run returns the add-store span of off's piece, or the part of one
+// page that lies inside it.
+func (pb *pagedBacking) run(off int) ([]rune, int) {
 	i := pb.findPiece(off)
 	pc := &pb.pieces[i]
-	rel := off - pb.cumR[i]
 	if pc.add {
-		return pb.add[pc.off+rel]
+		return pb.add[pc.off : pc.off+pc.n], pb.cumR[i]
 	}
-	pg, k := pb.pageFor(pc.fr0 + rel)
-	return pg.runes[k]
-}
-
-func (pb *pagedBacking) appendRange(dst []rune, off, n int) []rune {
-	for n > 0 {
-		i := pb.findPiece(off)
-		pc := &pb.pieces[i]
-		rel := off - pb.cumR[i]
-		take := pc.n - rel
-		if take > n {
-			take = n
-		}
-		if pc.add {
-			dst = append(dst, pb.add[pc.off+rel:pc.off+rel+take]...)
-			off += take
-			n -= take
-			continue
-		}
-		fr := pc.fr0 + rel
-		for take > 0 {
-			pg, k := pb.pageFor(fr)
-			t := len(pg.runes) - k
-			if t > take {
-				t = take
-			}
-			dst = append(dst, pg.runes[k:k+t]...)
-			fr += t
-			off += t
-			take -= t
-			n -= t
-		}
-	}
-	return dst
+	fr := pc.fr0 + off - pb.cumR[i]
+	pg, k := pb.pageFor(fr)
+	p0 := fr - k // file rune offset of the page's first rune
+	lo, hi := max(pc.fr0, p0), min(pc.fr0+pc.n, p0+len(pg.runes))
+	return pg.runes[lo-p0 : hi-p0], pb.cumR[i] + lo - pc.fr0
 }
 
 // fileStatAt returns the encoded byte offset and newline index of file
@@ -573,61 +546,51 @@ func (pb *pagedBacking) boundary(off int) int {
 	return i + 1
 }
 
-func (pb *pagedBacking) insert(off int, rs []rune) {
-	if len(rs) == 0 {
-		return
-	}
+func (pb *pagedBacking) insert(off int, s string, n int) {
 	nls := 0
 	base := len(pb.add)
-	for j, r := range rs {
+	pb.add = slices.Grow(pb.add, n)
+	for _, r := range s {
 		if r == '\n' {
 			nls++
-			pb.addNls = append(pb.addNls, base+j)
+			pb.addNls = append(pb.addNls, len(pb.add))
 		}
+		pb.add = append(pb.add, r)
 	}
-	blen := runesByteLen(rs)
-	pb.add = append(pb.add, rs...)
+	blen := runesByteLen(pb.add[base:])
 
 	i := pb.boundary(off)
 	// Coalesce sequential typing: extend a preceding add piece that ends
 	// exactly at the old end of the add store.
 	if i > 0 {
 		if pc := &pb.pieces[i-1]; pc.add && pc.off+pc.n == base {
-			pc.n += len(rs)
+			pc.n += n
 			pc.nls += nls
 			pc.bytes += blen
 			pb.rebuildCums()
 			if pb.onMem != nil {
-				pb.onMem(len(rs))
+				pb.onMem(n)
 			}
 			return
 		}
 	}
-	np := piece{add: true, off: base, n: len(rs), nls: nls, bytes: blen}
+	np := piece{add: true, off: base, n: n, nls: nls, bytes: blen}
 	pb.pieces = append(pb.pieces, piece{})
 	copy(pb.pieces[i+1:], pb.pieces[i:])
 	pb.pieces[i] = np
 	pb.rebuildCums()
 	if pb.onMem != nil {
-		pb.onMem(len(rs))
+		pb.onMem(n)
 	}
 }
 
-func (pb *pagedBacking) remove(off, n int, want bool) []rune {
-	if n == 0 {
-		return nil
-	}
-	var removed []rune
-	if want {
-		removed = pb.appendRange(make([]rune, 0, n), off, n)
-	}
+func (pb *pagedBacking) remove(off, n int) {
 	i := pb.boundary(off)
 	j := pb.boundary(off + n)
 	pb.pieces = append(pb.pieces[:i], pb.pieces[j:]...)
 	pb.rebuildCums()
 	// No residency change: pages stay cached until evicted and the add
 	// store is append-only, so deleting pieces frees no resident runes.
-	return removed
 }
 
 func (pb *pagedBacking) nNewlines() int { return pb.cumN[len(pb.pieces)] }
@@ -690,39 +653,20 @@ func (pb *pagedBacking) seekByte(off int64) (int, int64) {
 	pc := &pb.pieces[i]
 	rel := off - pb.cumB[i]
 	if pc.add {
-		var bo int64
-		for k := 0; k < pc.n; k++ {
-			sz := utf8.RuneLen(pb.add[pc.off+k])
-			if sz < 0 {
-				sz = utf8.RuneLen(utf8.RuneError)
-			}
-			if bo+int64(sz) > rel {
-				return pb.cumR[i] + k, pb.cumB[i] + bo
-			}
-			bo += int64(sz)
-		}
-		return pb.cumR[i] + pc.n, pb.cumB[i] + bo
+		k, bo := byteSeek(pb.add[pc.off:pc.off+pc.n], rel)
+		return pb.cumR[i] + k, pb.cumB[i] + bo
 	}
 	fb := pc.b0 + rel
 	no := pb.idx.pageOfEncByte(fb)
 	pg := pb.fault(no)
-	var bo int64 // encoded byte offset within the page
-	target := fb - pb.idx.cumE[no]
-	for k, r := range pg.runes {
-		sz := utf8.RuneLen(r)
-		if sz < 0 {
-			sz = utf8.RuneLen(utf8.RuneError)
-		}
-		if bo+int64(sz) > target {
-			fr := pb.idx.cumR[no] + k
-			fByte := pb.idx.cumE[no] + bo
-			return pb.cumR[i] + (fr - pc.fr0), pb.cumB[i] + (fByte - pc.b0)
-		}
-		bo += int64(sz)
+	k, bo := byteSeek(pg.runes, fb-pb.idx.cumE[no])
+	if k == len(pg.runes) {
+		// Only a placeholder page (synthPage) encodes shorter than its
+		// index entry; land on the next page's first rune.
+		no, k, bo = no+1, 0, 0
 	}
-	// target was the page's end; the rune is the first of the next page.
-	fr := pb.idx.cumR[no+1]
-	return pb.cumR[i] + (fr - pc.fr0), pb.cumB[i] + (pb.idx.cumE[no+1] - pc.b0)
+	fr, fByte := pb.idx.cumR[no]+k, pb.idx.cumE[no]+bo
+	return pb.cumR[i] + (fr - pc.fr0), pb.cumB[i] + (fByte - pc.b0)
 }
 
 // clone copies the piece table and add store and shares the immutable

@@ -87,10 +87,27 @@ func checkSame(t *testing.T, mem, paged *Buffer) {
 		if got, want := paged.LineAt(off), mem.LineAt(off); got != want {
 			t.Fatalf("paged LineAt(%d) = %d, mem %d", off, got, want)
 		}
-		if off < mem.Len() {
-			if got, want := paged.At(off), mem.At(off); got != want {
-				t.Fatalf("paged At(%d) = %q, mem %q", off, got, want)
-			}
+	}
+	want := []rune(mem.String())
+	checkAt(t, mem, want)
+	checkAt(t, paged, want)
+}
+
+// checkAt compares b.At at every offset with want, forward and then
+// backward, so every run is entered from both of its ends.
+func checkAt(t *testing.T, b *Buffer, want []rune) {
+	t.Helper()
+	if b.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", b.Len(), len(want))
+	}
+	for off := range want {
+		if got := b.At(off); got != want[off] {
+			t.Fatalf("At(%d) = %q, want %q (forward)", off, got, want[off])
+		}
+	}
+	for off := len(want) - 1; off >= 0; off-- {
+		if got := b.At(off); got != want[off] {
+			t.Fatalf("At(%d) = %q, want %q (backward)", off, got, want[off])
 		}
 	}
 }
@@ -440,3 +457,49 @@ func TestByteReaderMidRune(t *testing.T) {
 
 // addLen exposes the add-store size for the clone test.
 func (pb *pagedBacking) addLen() int { return len(pb.add) }
+
+// TestRunCacheInvalidation fills At's run cache, then changes the buffer
+// through each way in, and checks At against a []rune model of the new
+// text: a way in that kept the old run would read stale runes.
+func TestRunCacheInvalidation(t *testing.T) {
+	const initial = "alpha\nbeta δ\n"
+	clone := NewBuffer("cloned\nbody")
+	steps := []struct {
+		name string
+		do   func(b *Buffer)
+		want string
+	}{
+		{"Insert", func(b *Buffer) { b.Commit(); b.Insert(2, "XY") }, "alXYpha\nbeta δ\n"},
+		{"Delete", func(b *Buffer) { b.Commit(); b.Delete(0, 3) }, "Ypha\nbeta δ\n"},
+		{"Undo", func(b *Buffer) { b.Undo() }, "alXYpha\nbeta δ\n"},
+		{"Redo", func(b *Buffer) { b.Redo() }, "Ypha\nbeta δ\n"},
+		{"SetString", func(b *Buffer) { b.SetString("set\nstring") }, "set\nstring"},
+		{"ApplySplice", func(b *Buffer) {
+			if err := b.ApplySplice(1, 2, "ΩΩΩ"); err != nil {
+				t.Fatal(err)
+			}
+		}, "sΩΩΩ\nstring"},
+		{"Load", func(b *Buffer) { b.Load("loaded\ntext") }, "loaded\ntext"},
+		{"LoadPaged", func(b *Buffer) {
+			if err := b.LoadPaged(byteSource("paged\nsource"), 1<<20); err != nil {
+				t.Fatal(err)
+			}
+		}, "paged\nsource"},
+		{"AdoptClone", func(b *Buffer) { b.AdoptClone(clone) }, "cloned\nbody"},
+	}
+	for _, b := range []*Buffer{NewBuffer(initial), newPagedBuffer(t, initial, 8, 8)} {
+		kind := "mem"
+		if b.Paged() {
+			kind = "paged"
+		}
+		for _, st := range steps {
+			checkAt(t, b, []rune(b.String()))
+			b.At(0) // the cache now holds the first run
+			st.do(b)
+			if b.String() != st.want {
+				t.Fatalf("%s %s: String = %q, want %q", kind, st.name, b.String(), st.want)
+			}
+			checkAt(t, b, []rune(st.want))
+		}
+	}
+}

@@ -6,9 +6,6 @@ import (
 	"unicode/utf8"
 )
 
-// readerChunk is how many runes a ByteReader stages per backing fetch.
-const readerChunk = 4096
-
 // ByteReader adapts a Buffer to io.ReaderAt over its UTF-8 encoding, so
 // the file interface can serve body bytes straight from piece slices
 // without materializing String(). Sequential reads advance a cursor in
@@ -28,14 +25,11 @@ type ByteReader struct {
 	byteOff int64 // byte offset the cursor corresponds to
 	pending []byte
 	pbuf    [utf8.UTFMax]byte
-
-	chunk      []rune
-	chunkStart int
 }
 
 // NewByteReader returns a reader positioned at byte offset 0.
 func NewByteReader(b *Buffer) *ByteReader {
-	return &ByteReader{b: b, gen: b.Gen(), chunkStart: -1}
+	return &ByteReader{b: b, gen: b.Gen()}
 }
 
 // Size returns the buffer's UTF-8 encoded length in bytes.
@@ -50,8 +44,6 @@ func (r *ByteReader) ReadAt(p []byte, off int64) (int, error) {
 	}
 	if g := r.b.Gen(); g != r.gen {
 		r.gen = g
-		r.chunk = nil
-		r.chunkStart = -1
 		r.byteOff = -1 // force a seek
 		r.pending = nil
 	}
@@ -70,7 +62,7 @@ func (r *ByteReader) ReadAt(p []byte, off int64) (int, error) {
 		if r.runeOff >= total {
 			break
 		}
-		sz := utf8.EncodeRune(r.pbuf[:], r.runeAt(r.runeOff))
+		sz := utf8.EncodeRune(r.pbuf[:], r.b.At(r.runeOff))
 		r.runeOff++
 		if sz <= len(p)-n {
 			copy(p[n:], r.pbuf[:sz])
@@ -95,22 +87,8 @@ func (r *ByteReader) seek(off int64) {
 	r.runeOff = runeOff
 	r.pending = nil
 	if runeStart < off {
-		sz := utf8.EncodeRune(r.pbuf[:], r.runeAt(runeOff))
+		sz := utf8.EncodeRune(r.pbuf[:], r.b.At(runeOff))
 		r.pending = r.pbuf[off-runeStart : sz]
 		r.runeOff++
 	}
-}
-
-// runeAt reads one rune through a staging chunk so sequential encoding
-// costs one backing fetch per readerChunk runes.
-func (r *ByteReader) runeAt(off int) rune {
-	if r.chunkStart < 0 || off < r.chunkStart || off >= r.chunkStart+len(r.chunk) {
-		n := readerChunk
-		if total := r.b.Len(); off+n > total {
-			n = total - off
-		}
-		r.chunk = r.b.bk().appendRange(r.chunk[:0], off, n)
-		r.chunkStart = off
-	}
-	return r.chunk[off-r.chunkStart]
 }
