@@ -72,6 +72,7 @@ tables:
 fuzz:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s ./internal/shell
 	$(GO) test -fuzz='FuzzParseFile$$' -fuzztime=30s ./internal/cc
+	$(GO) test -fuzz='FuzzGrep$$' -fuzztime=30s ./internal/userland
 	$(GO) test -fuzz='FuzzAddress$$' -fuzztime=30s ./internal/text
 	$(GO) test -fuzz='FuzzEditSequence$$' -fuzztime=30s ./internal/text
 	$(GO) test -fuzz='FuzzLineIndex$$' -fuzztime=30s ./internal/text

@@ -234,7 +234,7 @@ func (h *Help) sendCmd(w *Window) {
 		w = cw
 		line = cw.SelectedText(SubBody)
 	} else {
-		line = lastNonEmptyLine(w.Body.String())
+		line = lastNonEmptyLine(w.Body)
 	}
 	line = strings.TrimSpace(line)
 	if line == "" {
@@ -261,11 +261,13 @@ func (h *Help) sendCmd(w *Window) {
 	}
 }
 
-func lastNonEmptyLine(s string) string {
-	lines := strings.Split(s, "\n")
-	for i := len(lines) - 1; i >= 0; i-- {
-		if strings.TrimSpace(lines[i]) != "" {
-			return lines[i]
+// lastNonEmptyLine walks b's lines back from the last and returns the
+// first that is not blank, reading only the lines it visits.
+func lastNonEmptyLine(b *text.Buffer) string {
+	for ln := b.NLines(); ln >= 1; ln-- {
+		q0 := b.LineStart(ln)
+		if line := b.Slice(q0, b.LineEnd(ln)-q0); strings.TrimSpace(line) != "" {
+			return line
 		}
 	}
 	return ""

@@ -46,17 +46,14 @@ type fsSource struct {
 func (s *fsSource) Size() int64 { return s.size }
 
 func (s *fsSource) ReadAt(p []byte, off int64) (int, error) {
-	data, gen, err := s.h.FS.ReadFileAt(s.name, off, int64(len(p)))
+	n, gen, err := s.h.FS.ReadAt(s.name, p, off)
+	if err == nil && gen != s.gen {
+		err = fmt.Errorf("core: %s: file replaced under paged window (gen %d -> %d)", s.name, s.gen, gen)
+	}
 	if err != nil {
 		s.noteMoved(err)
 		return 0, err
 	}
-	if gen != s.gen {
-		err := fmt.Errorf("core: %s: file replaced under paged window (gen %d -> %d)", s.name, s.gen, gen)
-		s.noteMoved(err)
-		return 0, err
-	}
-	n := copy(p, data)
 	if n < len(p) {
 		return n, io.EOF
 	}

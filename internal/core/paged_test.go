@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // bigBody builds a line-structured body of roughly n bytes.
@@ -213,5 +214,72 @@ func TestFindBodyPagedOffScreen(t *testing.T) {
 	}
 	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10 {
 		t.Fatalf("FindBody allocated %d bytes, want under 64 KiB", alloc)
+	}
+}
+
+// TestPagedFileReplacedUnderWindow: replacing the file under an open
+// paged window turns every page faulted afterwards into U+FFFD
+// placeholder text with the indexed newlines, counts one moved source,
+// and Get reloads the new file cleanly.
+func TestPagedFileReplacedUnderWindow(t *testing.T) {
+	h, name, body := pagedWorld(t)
+	w, err := h.OpenFile(name, "")
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	if !w.Body.Paged() {
+		t.Fatal("large body did not open paged")
+	}
+	replaced := strings.ToUpper(body)
+	if err := h.FS.WriteFile(name, []byte(replaced)); err != nil {
+		t.Fatal(err)
+	}
+	// The residency cap holds one page, so the later pages are faulted
+	// from the replaced file.
+	got := w.Body.String()
+	if !strings.ContainsRune(got, utf8.RuneError) {
+		t.Fatal("pages faulted after the replace hold text, not U+FFFD placeholders")
+	}
+	if strings.Contains(got, "LINE ") {
+		t.Fatal("pages faulted after the replace read the new file")
+	}
+	if n, want := strings.Count(got, "\n"), strings.Count(body, "\n"); n != want || w.Body.NLines() != want {
+		t.Fatalf("placeholder body has %d newlines, NLines %d; want %d", n, w.Body.NLines(), want)
+	}
+	if moved := h.Obs.Counter("core.paged.moved").Load(); moved != 1 {
+		t.Fatalf("core.paged.moved = %d, want 1", moved)
+	}
+	if err := h.get(w); err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	if !w.Body.Paged() || w.Body.String() != replaced {
+		t.Fatal("get did not reload the replaced file")
+	}
+}
+
+// TestSendLineReadsInPlace: Send finds the last non-blank line of a
+// 16 MiB paged body by reading the lines it visits, not a copy of the
+// body.
+func TestSendLineReadsInPlace(t *testing.T) {
+	h, fs := world(t)
+	h.SetLimits(Limits{MaxResident: 32 << 10})
+	name := "/usr/rob/lib/trace.log"
+	fs.WriteFile(name, []byte(bigBody(16<<20)+"echo sent\n \n\t\n"))
+	w, err := h.OpenFile(name, "")
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	if !w.Body.Paged() {
+		t.Fatal("16 MiB body did not open paged")
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	line := lastNonEmptyLine(w.Body)
+	runtime.ReadMemStats(&m1)
+	if line != "echo sent" {
+		t.Fatalf("last non-blank line = %q, want %q", line, "echo sent")
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("finding the line allocated %d bytes, want under 1 MiB", alloc)
 	}
 }

@@ -68,3 +68,30 @@ func TestReadaheadWindowed(t *testing.T) {
 		t.Fatalf("post-write read = %q err=%v", data, err)
 	}
 }
+
+// TestReadaheadWideRequest: a "readat" wider than the window is served
+// whole, and the slot's buffer grows to what the file holds, not to the
+// count the client asked for.
+func TestReadaheadWideRequest(t *testing.T) {
+	fs := vfs.New()
+	fs.MkdirAll("/d")
+	body := make([]byte, 3*raWindow+12345)
+	for i := range body {
+		body[i] = byte('a' + i%26)
+	}
+	fs.WriteFile("/d/huge", body)
+	reg := obs.New()
+	ra := &readahead{}
+
+	data, _, err := ra.readAt(fs, reg, "/d/huge", 1000, 2*raWindow+7)
+	if err != nil || !bytes.Equal(data, body[1000:1000+2*raWindow+7]) {
+		t.Fatalf("wide read = %d bytes err=%v, want %d", len(data), err, 2*raWindow+7)
+	}
+	data, _, err = ra.readAt(fs, reg, "/d/huge", 5, 1<<40)
+	if err != nil || !bytes.Equal(data, body[5:]) {
+		t.Fatalf("read to EOF = %d bytes err=%v, want %d", len(data), err, len(body)-5)
+	}
+	if len(ra.buf) > 2*len(body) {
+		t.Fatalf("slot buffer is %d bytes for a %d-byte file", len(ra.buf), len(body))
+	}
+}

@@ -864,8 +864,8 @@ const raWindow = 1 << 20
 // whole thing server-side — exactly what the paged text engine exists
 // to avoid.
 //
-// The slot stays because it pays even now that vfs.ReadFileAt
-// range-reads: serving each "readat" straight from vfs.ReadFileAt
+// The slot stays because it pays even now that vfs.FS.ReadAt
+// range-reads: serving each "readat" straight from the namespace
 // instead raised perfbench large's input p50 (a viewer walking a paged
 // 64 MiB log in 16 KiB chunks) from 41.5 to 45.9 µs, worse in 4 of 4
 // alternating pairs of 20 s runs on a 2-vCPU Xeon VM; a repeat read
@@ -873,12 +873,18 @@ const raWindow = 1 << 20
 type readahead struct {
 	path string
 	gen  uint64
-	base int64 // file offset of data[0]
-	data []byte
-	eof  bool // data reaches end of file
+	base int64  // file offset of data[0]
+	data []byte // the window, a prefix of buf
+	buf  []byte // refilled in place by every miss
+	eof  bool   // data reaches end of file
 }
 
-// readAt serves one chunk through the slot.
+// readAt serves one chunk through the slot. A miss refills the slot's
+// one buffer instead of allocating a window: the reply to the previous
+// request was written into the connection's bufio writer before the
+// executor took this one, so nothing still reads the old window. A
+// request wider than the window re-reads at doubling sizes, so the
+// buffer grows to what the file holds, never to what count asks for.
 func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, count int64) ([]byte, uint64, error) {
 	if count <= 0 {
 		count = defaultReadChunk
@@ -891,17 +897,21 @@ func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, cou
 	if ra.path == path && ra.gen != 0 && covered && fs.Gen(path) == ra.gen {
 		reg.Counter("srvnet.readahead.hit").Inc()
 	} else {
-		window := count
-		if window < raWindow {
-			window = raWindow
+		want := max(count, raWindow)
+		for size := int64(raWindow); ; size = min(2*size, want) {
+			if int64(len(ra.buf)) < size {
+				ra.buf = make([]byte, size)
+			}
+			n, gen, err := fs.ReadAt(path, ra.buf[:size], off)
+			if err != nil {
+				ra.path = ""
+				return nil, 0, err
+			}
+			ra.path, ra.gen, ra.base, ra.data = path, gen, off, ra.buf[:n]
+			if ra.eof = int64(n) < size; ra.eof || size == want {
+				break
+			}
 		}
-		data, gen, err := fs.ReadFileAt(path, off, window)
-		if err != nil {
-			ra.path = ""
-			return nil, 0, err
-		}
-		ra.path, ra.gen, ra.base, ra.data = path, gen, off, data
-		ra.eof = int64(len(data)) < window
 		reg.Counter("srvnet.readahead.miss").Inc()
 	}
 	data := ra.data

@@ -66,3 +66,27 @@ func TestTypingAllocs(t *testing.T) {
 		t.Errorf("deleting one rune: %v allocs, want at most 1", got)
 	}
 }
+
+// TestPageFaultAllocatesPage: a fault reads the page's bytes into the
+// backing's reused buffer, so it allocates the runes it decodes, their
+// newline offsets and a little bookkeeping, not a fresh copy of the
+// bytes.
+func TestPageFaultAllocatesPage(t *testing.T) {
+	line := strings.Repeat("x", 63) + "\n"
+	content := strings.Repeat(line, 4*defaultPageBytes/len(line))
+	pb, err := newPagedBacking(byteSource(content), 4*defaultPageBytes, defaultPageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.fault(0) // the first fault allocates the read buffer
+	runes := uint64(pb.idx.pageRunes(1))
+	nls := uint64(pb.idx.cumN[2] - pb.idx.cumN[1])
+	bound := 4*runes + 4*nls + 4<<10
+	var p *page
+	if got := allocated(func() { p = pb.fault(1) }); got > bound {
+		t.Errorf("faulting a %d-rune page allocated %d bytes, bound %d", runes, got, bound)
+	}
+	if want := content[defaultPageBytes : 2*defaultPageBytes]; string(p.runes) != want {
+		t.Fatal("faulted page does not hold the source's bytes")
+	}
+}

@@ -3,6 +3,7 @@ package text
 import (
 	"slices"
 	"sort"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -144,17 +145,31 @@ func (m *memBacking) grow(n int) {
 	m.runes = nr
 }
 
+// insert decodes s into the gap and its newlines into the line index in
+// one pass: the newlines are counted first, so the index opens room for
+// them once, and every later newline shifts by n.
 func (m *memBacking) insert(off int, s string, n int) {
 	m.grow(n)
 	m.moveGap(off)
+	i := sort.SearchInts(m.newlines, off)
+	count := strings.Count(s, "\n")
+	old := len(m.newlines)
+	m.newlines = slices.Grow(m.newlines, count)[:old+count]
+	copy(m.newlines[i+count:], m.newlines[i:old])
+	for k := i + count; k < len(m.newlines); k++ {
+		m.newlines[k] += n
+	}
 	rs := m.runes[m.gapStart : m.gapStart+n]
-	i := 0
+	j := 0
 	for _, r := range s {
-		rs[i] = r
-		i++
+		if r == '\n' {
+			m.newlines[i] = off + j
+			i++
+		}
+		rs[j] = r
+		j++
 	}
 	m.gapStart += n
-	m.indexInsert(off, rs)
 	if m.onMem != nil {
 		m.onMem(n)
 	}
@@ -166,35 +181,6 @@ func (m *memBacking) remove(off, n int) {
 	m.indexDelete(off, n)
 	if m.onMem != nil {
 		m.onMem(-n)
-	}
-}
-
-// indexInsert splices rs's newlines into the line index and shifts every
-// later newline by len(rs). The shift is a bulk pass over the tail of the
-// index, so an append to the end of the buffer costs only the scan of rs.
-func (m *memBacking) indexInsert(off int, rs []rune) {
-	count := 0
-	for _, r := range rs {
-		if r == '\n' {
-			count++
-		}
-	}
-	i := sort.SearchInts(m.newlines, off)
-	if count > 0 {
-		old := len(m.newlines)
-		m.newlines = slices.Grow(m.newlines, count)[:old+count]
-		copy(m.newlines[i+count:], m.newlines[i:old])
-		idx := i
-		for j, r := range rs {
-			if r == '\n' {
-				m.newlines[idx] = off + j
-				idx++
-			}
-		}
-		i += count
-	}
-	for k := i; k < len(m.newlines); k++ {
-		m.newlines[k] += len(rs)
 	}
 }
 

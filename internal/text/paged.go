@@ -301,6 +301,10 @@ type pagedBacking struct {
 
 	onMem func(delta int)
 
+	// rbuf is the read buffer fault fills, reused for every page; only
+	// the decoded runes outlive a fault.
+	rbuf []byte
+
 	// Sequential-access hints: the piece and page hit by the last
 	// lookup, making per-rune rendering scans O(1) amortized.
 	lastPiece int
@@ -388,7 +392,10 @@ func (pb *pagedBacking) fault(no int) *page {
 		return p
 	}
 	b0, b1 := pb.idx.byteOff[no], pb.idx.byteOff[no+1]
-	buf := make([]byte, b1-b0)
+	if int64(cap(pb.rbuf)) < b1-b0 {
+		pb.rbuf = make([]byte, b1-b0)
+	}
+	buf := pb.rbuf[:b1-b0]
 	ok := true
 	for got := 0; got < len(buf); {
 		n, err := pb.src.ReadAt(buf[got:], b0+int64(got))
@@ -418,7 +425,7 @@ func (pb *pagedBacking) fault(no int) *page {
 // the same semantics as the index scan.
 func decodePage(buf []byte) ([]rune, []int32) {
 	runes := make([]rune, 0, len(buf))
-	var nls []int32
+	nls := make([]int32, 0, bytes.Count(buf, []byte{'\n'}))
 	for i := 0; i < len(buf); {
 		c := buf[i]
 		if c < utf8.RuneSelf {

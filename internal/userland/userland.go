@@ -17,6 +17,7 @@ import (
 	"io"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,8 +110,8 @@ func Cp(ctx *shell.Context, args []string) int {
 
 const (
 	// grepParallelMin is the file size above which grep stops reading the
-	// whole file and instead scans fixed ranges through FS.ReadFileAt, so
-	// a gigabyte log costs a few chunks of memory, not the file.
+	// whole file and instead scans fixed ranges through FS.ReadAt, so a
+	// gigabyte log costs a few chunks of memory, not the file.
 	grepParallelMin = 4 << 20
 	// grepChunk is the scan unit for such files; each chunk is an
 	// independent job for the worker pool.
@@ -120,11 +121,18 @@ const (
 type grepOpts struct {
 	numbers, namesOnly, count, invert bool
 	re                                *regexp.Regexp
+	// lit, when set, is a literal every match starts with (never with
+	// -v): scan searches the text for it instead of visiting each line.
+	lit []byte
+	// whole reports a pattern that is nothing but lit, so a line holding
+	// lit matches without running re.
+	whole bool
 }
 
 // grepLine is one matched line of a chunk; rel is its 0-based index among
 // the lines owned by that chunk, resolved to a global line number once
-// every chunk's newline count is known.
+// every chunk's newline count is known. text is a copy: the chunk was
+// read into its worker's reused buffer.
 type grepLine struct {
 	rel  int
 	text []byte
@@ -155,6 +163,36 @@ func grepNextLine(data []byte, start int) ([]byte, int) {
 	return line, next
 }
 
+// scan calls fn for each selected line of slab that starts in
+// [first, limit), with the line's 0-based index among the lines from
+// first and its text without the terminator; fn returns false to stop.
+// slab must hold every such line whole. With a literal, each step
+// searches the rest of the slab for it, backs up to the start of the
+// line holding it and runs the regexp on that line only; every other
+// pattern (-i, alternations, -v) steps line by line.
+func (o *grepOpts) scan(slab []byte, first, limit int, fn func(rel int, line []byte) bool) {
+	for start, rel := first, 0; start < limit; rel++ {
+		ls, end := start, 0 // the candidate line's start; the literal's end
+		if o.lit != nil {
+			j := bytes.Index(slab[start:], o.lit)
+			if j < 0 {
+				return
+			}
+			ls += bytes.LastIndexByte(slab[start:start+j], '\n') + 1
+			if ls >= limit {
+				return
+			}
+			rel += bytes.Count(slab[start:ls], nlByte)
+			end = start + j + len(o.lit)
+		}
+		line, next := grepNextLine(slab, ls)
+		if (o.whole && end <= ls+len(line) || o.re.Match(line) != o.invert) && !fn(rel, line) {
+			return
+		}
+		start = next
+	}
+}
+
 func writeGrepLine(out *bytes.Buffer, o *grepOpts, name string, showName bool, ln int, line []byte) {
 	if showName {
 		out.WriteString(name)
@@ -170,23 +208,17 @@ func writeGrepLine(out *bytes.Buffer, o *grepOpts, name string, showName bool, l
 
 // grepScanAll greps one in-memory body (small files and stdin).
 func grepScanAll(o *grepOpts, name string, data []byte, showName bool, out *bytes.Buffer) bool {
-	ln, n := 0, 0
-	for start := 0; start < len(data); {
-		var line []byte
-		line, start = grepNextLine(data, start)
-		ln++
-		if o.re.Match(line) == o.invert {
-			continue
-		}
+	n := 0
+	o.scan(data, 0, len(data), func(rel int, line []byte) bool {
 		n++
-		if o.namesOnly {
-			fmt.Fprintln(out, name)
-			return true
+		if !o.namesOnly && !o.count {
+			writeGrepLine(out, o, name, showName, rel+1, line)
 		}
-		if o.count {
-			continue
-		}
-		writeGrepLine(out, o, name, showName, ln, line)
+		return !o.namesOnly
+	})
+	if o.namesOnly && n > 0 {
+		fmt.Fprintln(out, name)
+		return true
 	}
 	if o.count {
 		prefix := ""
@@ -198,52 +230,28 @@ func grepScanAll(o *grepOpts, name string, data []byte, showName bool, out *byte
 	return n > 0
 }
 
-// grepLineTail reads forward from off until a newline or EOF: the rest of
-// a line that started inside one chunk but runs past its end.
-func grepLineTail(ctx *shell.Context, path string, off, size int64) ([]byte, error) {
-	var tail []byte
-	for off < size {
-		n := int64(grepChunk)
-		if off+n > size {
-			n = size - off
-		}
-		b, _, err := ctx.FS.ReadFileAt(path, off, n)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) == 0 {
-			break
-		}
-		if j := bytes.IndexByte(b, '\n'); j >= 0 {
-			return append(tail, b[:j]...), nil
-		}
-		tail = append(tail, b...)
-		off += int64(len(b))
-	}
-	return tail, nil
-}
-
-// grepScanChunk greps chunk ci of a large file. A chunk owns the lines
-// that start inside its range [lo, hi); it reads one byte before lo to
-// decide whether lo itself starts a line, and reads past hi to finish a
-// line that spans the boundary. Line numbers cannot be assigned yet —
-// they need the newline counts of every earlier chunk — so matches are
-// reported by index among the chunk's owned lines.
-func grepScanChunk(ctx *shell.Context, o *grepOpts, path string, size int64, ci int) grepChunkRes {
+// grepScanChunk greps chunk ci of a large file, reading it into the
+// worker's buffer *buf, which it allocates on first use and reuses for
+// every later chunk. A chunk owns the lines that start inside its range
+// [lo, hi); it reads one byte before lo to decide whether lo itself
+// starts a line, and reads past hi to the end of the last line it owns,
+// so the scanner sees whole lines and finds a literal that crosses hi.
+// Line numbers cannot be assigned yet — they need the newline counts of
+// every earlier chunk — so matches are reported by index among the
+// chunk's owned lines.
+func grepScanChunk(ctx *shell.Context, o *grepOpts, path string, size int64, ci int, buf *[]byte) grepChunkRes {
 	lo := int64(ci) * grepChunk
-	hi := lo + grepChunk
-	if hi > size {
-		hi = size
+	hi := min(lo+grepChunk, size)
+	readStart := max(lo-1, 0)
+	if *buf == nil {
+		*buf = make([]byte, 0, grepChunk+1+grepStep)
 	}
-	readStart := lo
-	if lo > 0 {
-		readStart = lo - 1
-	}
-	slab, _, err := ctx.FS.ReadFileAt(path, readStart, hi-readStart)
+	slab := (*buf)[:hi-readStart]
+	n, _, err := ctx.FS.ReadAt(path, slab, readStart)
 	if err != nil {
 		return grepChunkRes{err: err}
 	}
-	if int64(len(slab)) < hi-readStart {
+	if n < len(slab) {
 		return grepChunkRes{err: fmt.Errorf("%s: file shrank during scan", path)}
 	}
 	var res grepChunkRes
@@ -263,34 +271,40 @@ func grepScanChunk(ctx *shell.Context, o *grepOpts, path string, size int64, ci 
 	} else {
 		res.nl = bytes.Count(slab, nlByte)
 	}
-	rel := 0
-	for start := first; readStart+int64(start) < hi; {
-		var line []byte
-		if j := bytes.IndexByte(slab[start:], '\n'); j >= 0 {
-			line = slab[start : start+j]
-			start += j + 1
-		} else {
-			tail, err := grepLineTail(ctx, path, readStart+int64(len(slab)), size)
-			if err != nil {
-				res.err = err
-				return res
-			}
-			line = append(append([]byte{}, slab[start:]...), tail...)
-			start = len(slab)
-		}
-		if len(line) > 0 && line[len(line)-1] == '\r' {
-			line = line[:len(line)-1]
-		}
-		rel++
-		if o.re.Match(line) == o.invert {
-			continue
-		}
-		res.n++
-		if !o.namesOnly && !o.count {
-			res.lines = append(res.lines, grepLine{rel: rel - 1, text: line})
+	limit := len(slab)
+	if first < limit && slab[limit-1] != '\n' && hi < size {
+		slab, err = grepExtend(ctx, path, slab, readStart)
+		*buf = slab[:0]
+		if err != nil {
+			return grepChunkRes{err: err}
 		}
 	}
+	o.scan(slab, first, limit, func(rel int, line []byte) bool {
+		res.n++
+		if !o.namesOnly && !o.count {
+			res.lines = append(res.lines, grepLine{rel: rel, text: bytes.Clone(line)})
+		}
+		return !o.namesOnly
+	})
 	return res
+}
+
+// grepStep is the first read past a chunk's end; each further read
+// doubles, up to grepChunk.
+const grepStep = 4 << 10
+
+// grepExtend appends the file's bytes after slab, which starts at file
+// offset off, until they hold a newline or reach end of file.
+func grepExtend(ctx *shell.Context, path string, slab []byte, off int64) ([]byte, error) {
+	for step := grepStep; ; step = min(2*step, grepChunk) {
+		n0 := len(slab)
+		slab = slices.Grow(slab, step)[:n0+step]
+		n, _, err := ctx.FS.ReadAt(path, slab[n0:], off+int64(n0))
+		slab = slab[:n0+n]
+		if err != nil || n < step || bytes.IndexByte(slab[n0:], '\n') >= 0 {
+			return slab, err
+		}
+	}
 }
 
 var nlByte = []byte{'\n'}
@@ -312,9 +326,10 @@ type grepFile struct {
 // with the file name — the behaviour the uses-vs-grep comparison needs.
 //
 // The scan is parallel: one worker per CPU sweeps the argument list, and
-// files above grepParallelMin are further split into chunk jobs read via
-// FS.ReadFileAt, so big logs grep at bounded memory. Output is assembled
-// in argument order regardless of which worker finishes first.
+// files above grepParallelMin are further split into chunk jobs, each read
+// through FS.ReadAt into its worker's one reused buffer, so big logs grep
+// at bounded memory. Output is assembled in argument order regardless of
+// which worker finishes first.
 func Grep(ctx *shell.Context, args []string) int {
 	var numbers, fold, namesOnly, count, invert bool
 	rest := args[1:]
@@ -352,6 +367,11 @@ func Grep(ctx *shell.Context, args []string) int {
 		return 2
 	}
 	o := &grepOpts{numbers: numbers, namesOnly: namesOnly, count: count, invert: invert, re: re}
+	if lit, _ := re.LiteralPrefix(); lit != "" && !invert {
+		// LiteralPrefix also calls ^lit$ complete, and a line holding
+		// lit need not match that; only the bare literal skips re.
+		o.lit, o.whole = []byte(lit), pat == regexp.QuoteMeta(lit)
+	}
 	names := rest[1:]
 	if len(names) == 0 {
 		data, err := io.ReadAll(ctx.Stdin)
@@ -370,7 +390,7 @@ func Grep(ctx *shell.Context, args []string) int {
 
 	showName := len(names) > 1 || numbers
 	files := make([]*grepFile, len(names))
-	var jobs []func()
+	var jobs []func(buf *[]byte)
 	for i, name := range names {
 		f := &grepFile{display: name, path: resolvePath(ctx, name)}
 		files[i] = f
@@ -381,15 +401,15 @@ func Grep(ctx *shell.Context, args []string) int {
 			f.chunks = make([]grepChunkRes, nchunks)
 			for ci := 0; ci < nchunks; ci++ {
 				ci := ci
-				jobs = append(jobs, func() {
-					f.chunks[ci] = grepScanChunk(ctx, o, f.path, f.size, ci)
+				jobs = append(jobs, func(buf *[]byte) {
+					f.chunks[ci] = grepScanChunk(ctx, o, f.path, f.size, ci, buf)
 				})
 			}
 			continue
 		}
 		// Small files, devices, directories and stat failures all take
 		// the whole-read path, which produces the canonical errors.
-		jobs = append(jobs, func() {
+		jobs = append(jobs, func(*[]byte) {
 			data, err := ctx.FS.ReadFile(f.path)
 			if err != nil {
 				f.err = err
@@ -405,14 +425,15 @@ func Grep(ctx *shell.Context, args []string) int {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	jobc := make(chan func())
+	jobc := make(chan func(buf *[]byte))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte // the chunk buffer, allocated by the first chunk job
 			for job := range jobc {
-				job()
+				job(&buf)
 			}
 		}()
 	}

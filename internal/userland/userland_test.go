@@ -2,8 +2,10 @@ package userland
 
 import (
 	"bytes"
+	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/shell"
@@ -455,6 +457,56 @@ func BenchmarkGrepLargeFile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out.Reset()
 		sh.Run(ctx, "grep variable /tmp/big")
+	}
+}
+
+// BenchmarkGrepChunked greps a 16 MiB generated log, sealed, through a
+// serialized view of the namespace, for a literal on a few lines: the
+// chunked scan a middle-clicked grep of a large log takes, which the
+// 92 KB file of BenchmarkGrepLargeFile never reaches.
+func BenchmarkGrepChunked(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	words := make([]string, 512)
+	for i := range words {
+		w := make([]byte, 2+rng.Intn(8))
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		words[i] = string(w)
+	}
+	var log []byte
+	for n := 1; len(log) < 16<<20; n++ {
+		log = strconv.AppendInt(log, int64(n), 10)
+		log = append(log, " host"...)
+		log = strconv.AppendInt(log, int64(rng.Intn(64)), 10)
+		log = append(log, ':')
+		for k := 2 + rng.Intn(12); k > 0; k-- {
+			log = append(append(log, ' '), words[rng.Intn(len(words))]...)
+		}
+		if rng.Intn(20000) == 0 {
+			log = append(log, " ZQXPLANTED"...)
+		}
+		log = append(log, '\n')
+	}
+	raw := vfs.New()
+	raw.MkdirAll("/log")
+	raw.WriteFile("/log/big.log", log)
+	if err := raw.Seal("/log"); err != nil {
+		b.Fatal(err)
+	}
+	var mu sync.Mutex
+	sh := shell.New(raw.Serialized(&mu))
+	Install(sh)
+	var out bytes.Buffer
+	ctx := sh.NewContext(&out, &out)
+	b.SetBytes(int64(len(log)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if sh.Run(ctx, "grep -n ZQXPLANTED /log/big.log") != 0 {
+			b.Fatalf("grep found nothing: %s", out.String())
+		}
 	}
 }
 

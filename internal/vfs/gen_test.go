@@ -92,71 +92,73 @@ func TestGenDevice(t *testing.T) {
 	}
 }
 
-// ReadFileAt slices the file under the same generation as a full read.
-func TestReadFileAt(t *testing.T) {
+// readAtString reads up to count bytes at off into a fresh buffer.
+func readAtString(fs *FS, p string, off, count int64) (string, uint64, error) {
+	b := make([]byte, count)
+	n, g, err := fs.ReadAt(p, b, off)
+	return string(b[:n]), g, err
+}
+
+// ReadAt copies the range under the same generation as a full read.
+func TestReadAt(t *testing.T) {
 	fs := New()
 	fs.MkdirAll("/d")
 	fs.WriteFile("/d/f", []byte("0123456789"))
 	want := fs.Gen("/d/f")
 
-	chunk, g, err := fs.ReadFileAt("/d/f", 2, 3)
-	if err != nil || string(chunk) != "234" || g != want {
-		t.Fatalf("ReadFileAt(2,3) = %q gen %d err %v", chunk, g, err)
+	chunk, g, err := readAtString(fs, "/d/f", 2, 3)
+	if err != nil || chunk != "234" || g != want {
+		t.Fatalf("ReadAt(2,3) = %q gen %d err %v", chunk, g, err)
 	}
-	// count <= 0 reads to the end; an offset at or past EOF is empty.
-	chunk, _, _ = fs.ReadFileAt("/d/f", 5, 0)
-	if string(chunk) != "56789" {
-		t.Fatalf("ReadFileAt(5,0) = %q", chunk)
-	}
-	chunk, _, _ = fs.ReadFileAt("/d/f", 10, 4)
+	// An offset at or past EOF reads nothing; a range past EOF is short.
+	chunk, _, _ = readAtString(fs, "/d/f", 10, 4)
 	if len(chunk) != 0 {
-		t.Fatalf("ReadFileAt(10,4) = %q, want empty", chunk)
+		t.Fatalf("ReadAt(10,4) = %q, want empty", chunk)
 	}
-	chunk, _, _ = fs.ReadFileAt("/d/f", 8, 100)
-	if string(chunk) != "89" {
-		t.Fatalf("ReadFileAt(8,100) = %q", chunk)
+	chunk, _, _ = readAtString(fs, "/d/f", 8, 100)
+	if chunk != "89" {
+		t.Fatalf("ReadAt(8,100) = %q", chunk)
 	}
 }
 
-// ReadFileAt on a device reads at the requested offset through one
-// handle instead of draining the whole device and slicing: the range is
-// served directly, including the count<=0 drain-from-offset form.
-func TestReadFileAtDevice(t *testing.T) {
+// ReadAt on a device reads at the requested offset through one handle
+// instead of draining the whole device and slicing.
+func TestReadAtDevice(t *testing.T) {
 	fs := New()
 	dev := &testDevice{reply: "abcdefghij"}
 	if err := fs.RegisterDevice("/dev/echo", dev); err != nil {
 		t.Fatal(err)
 	}
-	chunk, _, err := fs.ReadFileAt("/dev/echo", 3, 4)
-	if err != nil || string(chunk) != "defg" {
-		t.Fatalf("device ReadFileAt(3,4) = %q err %v", chunk, err)
+	chunk, _, err := readAtString(fs, "/dev/echo", 3, 4)
+	if err != nil || chunk != "defg" {
+		t.Fatalf("device ReadAt(3,4) = %q err %v", chunk, err)
 	}
-	chunk, _, err = fs.ReadFileAt("/dev/echo", 6, 0)
-	if err != nil || string(chunk) != "ghij" {
-		t.Fatalf("device ReadFileAt(6,0) = %q err %v", chunk, err)
+	if dev.opens != 1 {
+		t.Fatalf("device ReadAt opened %d handles, want 1", dev.opens)
 	}
-	chunk, _, err = fs.ReadFileAt("/dev/echo", 8, 100)
-	if err != nil || string(chunk) != "ij" {
-		t.Fatalf("device ReadFileAt(8,100) = %q err %v", chunk, err)
+	chunk, _, err = readAtString(fs, "/dev/echo", 8, 100)
+	if err != nil || chunk != "ij" {
+		t.Fatalf("device ReadAt(8,100) = %q err %v", chunk, err)
 	}
-	chunk, _, err = fs.ReadFileAt("/dev/echo", 42, 5)
+	chunk, _, err = readAtString(fs, "/dev/echo", 42, 5)
 	if err != nil || len(chunk) != 0 {
-		t.Fatalf("device ReadFileAt past EOF = %q err %v", chunk, err)
+		t.Fatalf("device ReadAt past EOF = %q err %v", chunk, err)
 	}
 }
 
-// A regular-file range read must not alias the node's backing array: a
-// later write replaces the data, and the earlier slice must not see it.
-func TestReadFileAtCopies(t *testing.T) {
+// A regular-file range read copies into the caller's buffer: a later
+// write replaces the file's data, and the buffer must not see it.
+func TestReadAtCopies(t *testing.T) {
 	fs := New()
 	fs.MkdirAll("/d")
 	fs.WriteFile("/d/f", []byte("immutable"))
-	chunk, _, err := fs.ReadFileAt("/d/f", 0, 4)
-	if err != nil || string(chunk) != "immu" {
-		t.Fatalf("ReadFileAt = %q err %v", chunk, err)
+	b := make([]byte, 4)
+	n, _, err := fs.ReadAt("/d/f", b, 0)
+	if err != nil || string(b[:n]) != "immu" {
+		t.Fatalf("ReadAt = %q err %v", b[:n], err)
 	}
 	fs.WriteFile("/d/f", []byte("XXXXXXXXX"))
-	if string(chunk) != "immu" {
-		t.Fatalf("range read aliased file data: %q", chunk)
+	if string(b) != "immu" {
+		t.Fatalf("range read aliased file data: %q", b)
 	}
 }

@@ -13,7 +13,10 @@
 //   - synthetic files backed by a Device, used by helpfs to expose
 //     /mnt/help/N/{tag,body,ctl,bodyapp} exactly as the paper describes,
 //   - the usual operations: open, create, read, write, stat, readdir,
-//     remove, plus glob expansion for the shell.
+//     remove, plus glob expansion for the shell,
+//   - ReadAt, a range read into a buffer the caller owns and reuses: the
+//     paged text engine, grep's chunk scan and the wire server's
+//     readahead walk a large file through it without a copy per read.
 //
 // Paths are slash-separated and absolute ("/usr/rob/src/help").
 //
@@ -698,90 +701,50 @@ func (fs *FS) readFileGen(p string) ([]byte, uint64, error) {
 	return append([]byte(nil), n.data...), gen, nil
 }
 
-// ReadFileAt returns up to count bytes of the file at p starting at
-// byte offset off, plus the file's generation. A short (or empty)
-// result means the read reached end of file. count <= 0 reads to the
-// end.
+// ReadAt copies bytes of the file at p from byte offset off into b and
+// returns how many it copied with the file's generation, both observed
+// under the view's lock. A short n means the read reached end of file.
 //
-// Regular files copy only the requested range — this is the page-in
-// path for paged text buffers, where materializing a gigabyte to serve
-// 64 KiB would defeat the point. Devices open a handle and read at the
-// requested offset, so a device that supports random access serves the
-// range directly; handles that ignore the offset still behave as
-// before because the read loop fills from off onward.
-func (fs *FS) ReadFileAt(p string, off, count int64) ([]byte, uint64, error) {
-	if off < 0 {
-		off = 0
-	}
+// b belongs to the caller, so a reader that reuses one buffer can walk a
+// gigabyte file without allocating: this is the page-in path for paged
+// text buffers, grep's chunk scan and the wire server's readahead. A
+// device opens one handle and reads at off, so a device that supports
+// random access serves the range directly; a handle that ignores the
+// offset still behaves, because the read loop fills b from off onward.
+func (fs *FS) ReadAt(p string, b []byte, off int64) (n int, gen uint64, err error) {
+	off = max(off, 0)
 	fs.lock()
-	n, err := fs.find(p)
+	defer fs.unlock()
+	nd, err := fs.find(p)
 	if err != nil {
-		fs.unlock()
-		return nil, 0, err
+		return 0, 0, err
 	}
-	if n.dir {
-		fs.unlock()
-		return nil, 0, fmt.Errorf("%s: %w", p, ErrIsDir)
+	if nd.dir {
+		return 0, 0, fmt.Errorf("%s: %w", p, ErrIsDir)
 	}
-	gen := genOf(n)
-	if n.device == nil {
-		var out []byte
-		if off < int64(len(n.data)) {
-			end := int64(len(n.data))
-			if count > 0 && off+count < end {
-				end = off + count
-			}
-			out = append([]byte(nil), n.data[off:end]...)
+	gen = genOf(nd)
+	if nd.device == nil {
+		if off < int64(len(nd.data)) {
+			n = copy(b, nd.data[off:])
 		}
-		fs.unlock()
-		return out, gen, nil
+		return n, gen, nil
 	}
-	data, err := fs.readDeviceAt(n, off, count)
-	fs.unlock()
-	return data, gen, err
-}
-
-// readDeviceAt reads [off, off+count) from a device through one handle.
-// count <= 0 drains from off to EOF.
-func (fs *FS) readDeviceAt(n *node, off, count int64) ([]byte, error) {
-	h, err := n.device.OpenDevice(OREAD)
+	h, err := nd.device.OpenDevice(OREAD)
 	if err != nil {
-		return nil, err
+		return 0, gen, err
 	}
 	defer h.Close()
-	var out []byte
-	if count > 0 {
-		out = make([]byte, count)
-		got := int64(0)
-		for got < count {
-			k, err := h.ReadAt(out[got:], off+got)
-			got += int64(k)
-			if err == io.EOF || (err == nil && k == 0) {
-				break
-			}
-			if err != nil {
-				return out[:got], err
-			}
-		}
-		return out[:got], nil
-	}
-	bufp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bufp)
-	buf := *bufp
-	for {
-		k, err := h.ReadAt(buf, off)
-		out = append(out, buf[:k]...)
-		off += int64(k)
-		if err == io.EOF {
-			return out, nil
+	for n < len(b) {
+		k, err := h.ReadAt(b[n:], off+int64(n))
+		n += k
+		if err == io.EOF || (err == nil && k == 0) {
+			break
 		}
 		if err != nil {
-			return out, err
-		}
-		if k == 0 {
-			return out, nil
+			return n, gen, err
 		}
 	}
+	return n, gen, nil
 }
 
 // ReadWait is the blocking read entry point for event-stream files: a
