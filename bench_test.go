@@ -270,6 +270,41 @@ func BenchmarkExecuteExternalRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteWindows measures one built-in (Snarf, which changes
+// nothing on a repeat) in sessions of 10, 100 and 1,000 windows, with
+// and without a journal. What grows with the window count is the sweep
+// that ends every interaction, so the spread across sizes is its
+// per-window cost.
+func BenchmarkExecuteWindows(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		for _, journaled := range []bool{false, true} {
+			b.Run(fmt.Sprintf("windows=%d/journal=%v", n, journaled), func(b *testing.B) {
+				w, err := world.Build(120, 60)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var win *core.Window
+				for i := 0; i < n; i++ {
+					win = w.Help.NewWindow()
+				}
+				if journaled {
+					jw, err := journal.Open(journal.NewMemFS(), journal.Config{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer jw.Close()
+					w.Help.AttachJournal(jw, 1<<20)
+				}
+				w.Help.Execute(win, "Snarf")
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w.Help.Execute(win, "Snarf")
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGestureDispatch measures one click through the whole event
 // pipeline including re-render.
 func BenchmarkGestureDispatch(b *testing.B) {
@@ -314,7 +349,8 @@ func BenchmarkConnectivityCount(b *testing.B) {
 }
 
 // BenchmarkStackTool measures the db stack pipeline: script, adb, window
-// creation through the file interface.
+// creation through the file interface. Each run's stack window is closed
+// again, so the session does not grow with b.N and neither does ns/op.
 func BenchmarkStackTool(b *testing.B) {
 	w, err := world.Build(120, 60)
 	if err != nil {
@@ -332,6 +368,8 @@ func BenchmarkStackTool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Help.Execute(stf, "stack")
+		wins := w.Help.Windows()
+		w.Help.CloseWindow(wins[len(wins)-1])
 	}
 }
 

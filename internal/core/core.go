@@ -239,7 +239,7 @@ type Help struct {
 	// rec is the session journal recorder, nil unless AttachJournal
 	// has connected one; panicCount tallies panics the event-loop and
 	// executor guards have recovered.
-	rec        *Recorder
+	rec        *recorder
 	panicCount int
 
 	// exitPending arms the two-step Exit: set when Exit was refused
@@ -603,7 +603,7 @@ func (h *Help) closeWindow(w *Window) {
 	h.mWindows.Add(-1)
 	h.untrackWindow(w)
 	if h.curWin == w {
-		h.curWin = nil
+		h.curWin, h.curSub = nil, 0
 	}
 	if h.errors == w {
 		h.errors = nil
@@ -670,8 +670,7 @@ func (h *Help) errorsWin() *Window {
 		return h.errors
 	}
 	w := h.newWindowIn(h.selectionColumn())
-	w.Tag.SetString("Errors\tClose!")
-	w.Tag.SetClean()
+	w.Tag.Load("Errors\tClose!")
 	h.errors = w
 	return w
 }
@@ -754,18 +753,31 @@ const MemBytesPerRune = 4
 const memGateRunes = 1024
 
 // trackWindow wires w's buffers into the session's resident-size
-// accounting. Installed at both window-creation choke points (newWindowIn
-// and the recovery path's adoptWindow); untrackWindow reverses it.
+// accounting and, with a journal attached, journals the window's
+// creation and hooks its buffers' splices. Called at both
+// window-creation choke points (newWindowIn and the recovery path's
+// adoptWindow); untrackWindow reverses it.
 func (h *Help) trackWindow(w *Window) {
 	h.mMemRunes.Add(int64(w.Tag.MemRunes() + w.Body.MemRunes()))
 	w.Tag.SetOnMem(func(d int) { h.mMemRunes.Add(int64(d)) })
 	w.Body.SetOnMem(func(d int) { h.mMemRunes.Add(int64(d)) })
+	if h.rec != nil {
+		h.rec.windowCreated(w)
+	}
 }
 
+// untrackWindow unhooks a closing window's buffers. Whoever kept the
+// *Window can still edit them, and such an edit must not reach the
+// journal as a splice for a window the log has closed.
 func (h *Help) untrackWindow(w *Window) {
 	w.Tag.SetOnMem(nil)
 	w.Body.SetOnMem(nil)
+	w.Tag.SetOnSplice(nil)
+	w.Body.SetOnSplice(nil)
 	h.mMemRunes.Add(-int64(w.Tag.MemRunes() + w.Body.MemRunes()))
+	if h.rec != nil {
+		h.rec.windowClosed(w)
+	}
 }
 
 // checkMem is the memory admission check for a body load of addRunes

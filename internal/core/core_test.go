@@ -503,6 +503,30 @@ func TestExecuteUndoRedo(t *testing.T) {
 	}
 }
 
+// TestTagRewriteKeepsNoUndo: help rewrites tags itself (a file name, a
+// Put! appearing on a modified window, the Errors tag) and keeps no undo
+// history for it — Undo and Redo act on the body only, so that history
+// would never be read, only kept.
+func TestTagRewriteKeepsNoUndo(t *testing.T) {
+	h, _ := world(t)
+	w, err := h.OpenFile("/usr/rob/src/help/help.c", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Body.Insert(0, "x")
+	w.SetNameTag(w.FileName())
+	w.RefreshTag()
+	if !strings.Contains(w.Tag.String(), "Put!") || w.Tag.Modified() {
+		t.Fatalf("tag = %q, modified %v", w.Tag.String(), w.Tag.Modified())
+	}
+	if w.Tag.Undo() {
+		t.Errorf("tag rewrite left undo history")
+	}
+	if e := h.Errors(); e.Tag.Undo() {
+		t.Errorf("Errors tag left undo history")
+	}
+}
+
 func TestExecuteExit(t *testing.T) {
 	h, _ := world(t)
 	w := h.NewWindow()

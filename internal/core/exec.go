@@ -21,9 +21,7 @@ func (h *Help) ExecuteAt(w *Window, sub int, q0, q1 int) {
 	h.mu.Lock()
 	p := h.executeAt(w, sub, q0, q1)
 	h.mu.Unlock()
-	if p != nil {
-		<-p.done
-	}
+	h.await(p)
 }
 
 func (h *Help) executeAt(w *Window, sub int, q0, q1 int) *proc {
@@ -41,16 +39,29 @@ func (h *Help) executeAt(w *Window, sub int, q0, q1 int) *proc {
 // context rules.
 //
 // Execute is synchronous: an external command runs in its own goroutine,
-// but Execute waits for it to finish and for its output to land in
-// Errors, so scripted sessions and tests stay deterministic. Start is
-// the fire-and-forget variant; gesture dispatch is asynchronous too.
+// but Execute waits for it to finish, for its output to land in Errors,
+// and for the sweep that journals that output, so scripted sessions and
+// tests stay deterministic and a journal flushed after Execute holds the
+// whole command. Start is the fire-and-forget variant; gesture dispatch
+// is asynchronous too.
 func (h *Help) Execute(w *Window, cmd string) {
 	h.mu.Lock()
 	p := h.execute(w, cmd)
 	h.mu.Unlock()
-	if p != nil {
-		<-p.done
+	h.await(p)
+}
+
+// await waits for an external command launched by Execute or ExecuteAt
+// (nil for a built-in) to be reaped. The reap closes p.done inside a
+// drainer batch, before the batch's sweep; the drainer holds the actor
+// lock through that sweep, so taking the lock once more waits for it.
+func (h *Help) await(p *proc) {
+	if p == nil {
+		return
 	}
+	<-p.done
+	h.mu.Lock()
+	h.mu.Unlock()
 }
 
 // Start launches cmd in window w's context without waiting for it to

@@ -19,12 +19,16 @@ import (
 //     typing, Cut, Paste, Undo, Redo, Get!, and file-interface writes
 //     all journal identically, as OpSplice records.
 //   - Everything else (selections, focus, layout, scroll, snarf,
-//     clean/dirty flags) is captured by a shadow-state sweep that runs
-//     at the end of each top-level interaction and emits one record
-//     per observed difference. The sweep makes the journal independent
-//     of *why* state changed: a placement heuristic's side effects are
-//     journaled as the moves it made, so replay never re-runs the
-//     heuristic and cannot diverge from it.
+//     clean/dirty flags) is captured by the one sweep that runs at the
+//     end of each top-level interaction. Each window keeps what the last
+//     sweep reported about it (Window.seen); the sweep compares, emits
+//     one record per difference, and publishes the same interaction's
+//     body and tag events on the bus. The sweep makes the journal
+//     independent of *why* state changed: a placement heuristic's side
+//     effects are journaled as the moves it made, so replay never
+//     re-runs the heuristic and cannot diverge from it.
+//   - Window creation and close are journaled where the session tracks
+//     them, trackWindow and untrackWindow.
 //   - Namespace mutations (Put, tool output, mkdir, bind) arrive
 //     through vfs's mutation hook as OpFile records.
 //
@@ -35,34 +39,29 @@ import (
 // not journaled: they are reconstruction conveniences, not session
 // state, and their loss across a crash is documented behaviour.
 
-// Recorder connects a Help instance to a journal.Writer.
-type Recorder struct {
-	h     *Help
+// recorder connects a Help instance to a journal.Writer. It keeps the
+// session-wide state the last sweep journaled; per-window state lives
+// in each Window.seen.
+type recorder struct {
 	w     *journal.Writer
 	every int // checkpoint after this many ops
 	since int
 
-	// Shadow state for the sweep diff.
 	split    int
 	curWin   int
 	curSub   int
 	snarf    string
 	errorsID int
-	shadows  map[int]*winShadow
-	order    []int // shadow IDs, sorted: the sweep's iteration order
 }
 
-// winShadow mirrors the swept per-window fields. A fresh window gets
-// col = -1, a sentinel no real window matches, so the first sweep
-// after creation always emits its placement.
-type winShadow struct {
-	col      int
-	top      int
-	hidden   bool
-	isDir    bool
-	org      int
-	sel      [2]Selection
-	modified bool
+// winState is what a sweep reports about one window: the buffer
+// generations go to the bus, the rest to the journal.
+type winState struct {
+	body, tag     uint64
+	col, top, org int
+	hidden, isDir bool
+	sel           [2]Selection
+	modified      bool
 }
 
 // AttachJournal connects h to jw: every subsequent mutation is
@@ -70,49 +69,33 @@ type winShadow struct {
 // journal is self-contained from the first record). checkpointEvery
 // bounds the replay tail: a new checkpoint plus compaction happens
 // after that many ops. Call RecoverSession first when resuming.
-func (h *Help) AttachJournal(jw *journal.Writer, checkpointEvery int) *Recorder {
+func (h *Help) AttachJournal(jw *journal.Writer, checkpointEvery int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if checkpointEvery <= 0 {
 		checkpointEvery = 2048
 	}
-	rec := &Recorder{
-		h:       h,
-		w:       jw,
-		every:   checkpointEvery,
-		shadows: map[int]*winShadow{},
+	// Sweep before attaching: pending events reach the bus, and every
+	// window's seen becomes the state the checkpoint below records, so
+	// the first journaled sweep finds nothing stale.
+	h.JournalSweep()
+	cw, cs := h.currentIDs()
+	rec := &recorder{
+		w:        jw,
+		every:    checkpointEvery,
+		split:    h.cols[0].r.Max.X,
+		curWin:   cw,
+		curSub:   cs,
+		snarf:    h.snarf,
+		errorsID: h.errorsID(),
 	}
 	h.rec = rec
 	jw.SetObs(h.Obs)
-
-	for _, w := range h.windows() {
+	for _, w := range h.byID {
 		rec.hookBuffers(w)
-		rec.shadows[w.ID] = rec.shadowOf(w)
-		rec.insertOrder(w.ID)
-	}
-	rec.split = h.cols[0].r.Max.X
-	rec.curWin, rec.curSub = h.currentIDs()
-	rec.snarf = h.snarf
-	rec.errorsID = h.errorsID()
-
-	prevCreated := h.OnWindowCreated
-	h.OnWindowCreated = func(w *Window) {
-		rec.windowCreated(w)
-		if prevCreated != nil {
-			prevCreated(w)
-		}
-	}
-	prevClosed := h.OnWindowClosed
-	h.OnWindowClosed = func(w *Window) {
-		rec.windowClosed(w)
-		if prevClosed != nil {
-			prevClosed(w)
-		}
 	}
 	h.FS.SetOnMutate(rec.fsMutated)
-
 	jw.Checkpoint(checkpointOps(h))
-	return rec
 }
 
 // Journal returns the attached writer, or nil.
@@ -140,18 +123,6 @@ func (h *Help) errorsID() int {
 	return h.errors.ID
 }
 
-func (rec *Recorder) shadowOf(w *Window) *winShadow {
-	return &winShadow{
-		col:      rec.h.colIndex(w.col),
-		top:      w.top,
-		hidden:   w.hidden,
-		isDir:    w.IsDir,
-		org:      w.bodyOrg,
-		sel:      w.Sel,
-		modified: w.Body.Modified(),
-	}
-}
-
 // colIndex returns the index of col in h.cols, 0 as a fallback.
 func (h *Help) colIndex(col *Column) int {
 	for i, c := range h.cols {
@@ -162,7 +133,7 @@ func (h *Help) colIndex(col *Column) int {
 	return 0
 }
 
-func (rec *Recorder) hookBuffers(w *Window) {
+func (rec *recorder) hookBuffers(w *Window) {
 	id := w.ID
 	w.Tag.SetOnSplice(func(off, ndel int, ins string) {
 		rec.emit(&journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubTag, P0: off, P1: ndel, Str1: ins})
@@ -172,44 +143,21 @@ func (rec *Recorder) hookBuffers(w *Window) {
 	})
 }
 
-func (rec *Recorder) emit(op *journal.Op) {
+func (rec *recorder) emit(op *journal.Op) {
 	rec.w.Append(op)
 	rec.since++
 }
 
-func (rec *Recorder) windowCreated(w *Window) {
+func (rec *recorder) windowCreated(w *Window) {
 	rec.hookBuffers(w)
-	sh := rec.shadowOf(w)
-	sh.col = -1 // sentinel: first sweep must emit placement
-	rec.shadows[w.ID] = sh
-	rec.insertOrder(w.ID)
 	rec.emit(&journal.Op{Kind: journal.OpNewWin, Win: w.ID, Flag: w.IsDir})
 }
 
-func (rec *Recorder) windowClosed(w *Window) {
-	delete(rec.shadows, w.ID)
-	rec.removeOrder(w.ID)
+func (rec *recorder) windowClosed(w *Window) {
 	rec.emit(&journal.Op{Kind: journal.OpCloseWin, Win: w.ID})
 }
 
-func (rec *Recorder) insertOrder(id int) {
-	i := sort.SearchInts(rec.order, id)
-	if i < len(rec.order) && rec.order[i] == id {
-		return
-	}
-	rec.order = append(rec.order, 0)
-	copy(rec.order[i+1:], rec.order[i:])
-	rec.order[i] = id
-}
-
-func (rec *Recorder) removeOrder(id int) {
-	i := sort.SearchInts(rec.order, id)
-	if i < len(rec.order) && rec.order[i] == id {
-		rec.order = append(rec.order[:i], rec.order[i+1:]...)
-	}
-}
-
-func (rec *Recorder) fsMutated(kind vfs.MutKind, p string, data []byte, aux string, flag int) {
+func (rec *recorder) fsMutated(kind vfs.MutKind, p string, data []byte, aux string, flag int) {
 	str2 := string(data)
 	if kind == vfs.MutBind {
 		str2 = aux
@@ -217,27 +165,35 @@ func (rec *Recorder) fsMutated(kind vfs.MutKind, p string, data []byte, aux stri
 	rec.emit(&journal.Op{Kind: journal.OpFile, P0: int(kind), P1: flag, Str1: p, Str2: str2})
 }
 
-// JournalSweep diffs the session state against the recorder's shadows
-// and journals every difference, then writes a checkpoint if the op
-// budget since the last one is spent. It runs at the end of every
-// top-level interaction (event, command, file-interface operation); a
-// quiescent sweep emits nothing. It must never take help down, so it
-// recovers its own panics.
+// JournalSweep reports what changed in the session since the last
+// sweep. It runs at the end of every top-level interaction (event,
+// command, file-interface operation) and walks every window once,
+// column by column, comparing it with what the last sweep reported
+// (Window.seen): a moved buffer generation is published on the bus as a
+// body or tag event, and with a journal attached every other difference
+// is journaled, as are the session's focus, snarf, column split and
+// Errors window. A checkpoint follows when the op budget since the last
+// one is spent. A quiescent sweep emits nothing. It must never take
+// help down, so it recovers its own panics.
 func (h *Help) JournalSweep() {
 	defer func() { recover() }()
-	// The notify sweep rides the same interaction boundary: whatever
-	// reached a sweep point is also what subscribers should hear about.
-	h.notifySweep()
 	rec := h.rec
-	if rec == nil {
-		return
+	if rec != nil {
+		rec.sweepSession(h)
 	}
-	rec.sweep()
+	armed := h.Notify.Armed()
+	for ci, col := range h.cols {
+		for _, w := range col.wins {
+			h.sweepWindow(w, ci, armed)
+		}
+	}
+	if rec != nil && rec.since >= rec.every {
+		rec.since = 0
+		rec.w.Checkpoint(checkpointOps(h))
+	}
 }
 
-func (rec *Recorder) sweep() {
-	h := rec.h
-
+func (rec *recorder) sweepSession(h *Help) {
 	if cw, cs := h.currentIDs(); cw != rec.curWin || cs != rec.curSub {
 		rec.curWin, rec.curSub = cw, cs
 		rec.emit(&journal.Op{Kind: journal.OpCurrent, Win: cw, Sub: cs})
@@ -254,65 +210,65 @@ func (rec *Recorder) sweep() {
 		rec.errorsID = eid
 		rec.emit(&journal.Op{Kind: journal.OpErrors, Win: eid})
 	}
-	if len(rec.shadows) != len(h.byID) {
-		// Shouldn't happen (creation and close are hooked), but journal
-		// the strays rather than lose them.
-		for _, w := range h.windows() {
-			if rec.shadows[w.ID] == nil {
-				rec.windowCreated(w)
-			}
-		}
-		for _, id := range append([]int(nil), rec.order...) {
-			if h.byID[id] == nil {
-				delete(rec.shadows, id)
-				rec.removeOrder(id)
-				rec.emit(&journal.Op{Kind: journal.OpCloseWin, Win: id})
-			}
-		}
-	}
-	for _, id := range rec.order {
-		w := h.byID[id]
-		if w == nil {
-			continue
-		}
-		sh := rec.shadows[w.ID]
-		col := h.colIndex(w.col)
-		if col != sh.col || w.top != sh.top || w.hidden != sh.hidden || w.IsDir != sh.isDir {
-			sh.col, sh.top, sh.hidden, sh.isDir = col, w.top, w.hidden, w.IsDir
-			op := placeOp(w, col)
-			rec.emit(&op)
-		}
-		if w.bodyOrg != sh.org {
-			sh.org = w.bodyOrg
-			rec.emit(&journal.Op{Kind: journal.OpScroll, Win: w.ID, P0: w.bodyOrg})
-		}
-		for sub := 0; sub < 2; sub++ {
-			if w.Sel[sub] != sh.sel[sub] {
-				sh.sel[sub] = w.Sel[sub]
-				rec.emit(&journal.Op{Kind: journal.OpSelect, Win: w.ID, Sub: sub, P0: w.Sel[sub].Q0, P1: w.Sel[sub].Q1})
-			}
-		}
-		if m := w.Body.Modified(); m != sh.modified {
-			sh.modified = m
-			rec.emit(&journal.Op{Kind: journal.OpClean, Win: w.ID, Flag: !m})
-		}
-	}
-	if rec.since >= rec.every {
-		rec.since = 0
-		rec.w.Checkpoint(checkpointOps(h))
-	}
 }
 
-// placeOp journals w's placement in column col.
-func placeOp(w *Window, col int) journal.Op {
-	bits := 0
-	if w.hidden {
-		bits |= 1
+// sweepWindow reports what changed about w, in column col, since its
+// last sweep, and stores the new state in w.seen. The compares are
+// field by field: a whole-struct == compiles to a memory compare and a
+// copy that cost more than the rest of the sweep.
+func (h *Help) sweepWindow(w *Window, col int, armed bool) {
+	s := &w.seen
+	if g := w.Body.Gen(); g != s.body {
+		s.body = g
+		h.publishGen(w.ID, "body", g, armed)
 	}
-	if w.IsDir {
-		bits |= 2
+	if g := w.Tag.Gen(); g != s.tag {
+		s.tag = g
+		h.publishGen(w.ID, "tag", g, armed)
 	}
-	return journal.Op{Kind: journal.OpPlace, Win: w.ID, P0: col, P1: w.top, P2: bits}
+	mod := w.Body.Modified()
+	if col == s.col && w.top == s.top && w.hidden == s.hidden && w.IsDir == s.isDir &&
+		w.bodyOrg == s.org && w.Sel[0] == s.sel[0] && w.Sel[1] == s.sel[1] && mod == s.modified {
+		return
+	}
+	if h.rec != nil {
+		var buf [5]journal.Op
+		for _, op := range stateOps(buf[:0], w, col, s) {
+			h.rec.emit(&op)
+		}
+	}
+	s.col, s.top, s.hidden, s.isDir = col, w.top, w.hidden, w.IsDir
+	s.org, s.sel, s.modified = w.bodyOrg, w.Sel, mod
+}
+
+// stateOps appends the ops that take window w, in column col, from the
+// journaled state old to its present one: its placement, scroll, both
+// selections and clean flag, each only where it differs. A nil old
+// lists them all, as a checkpoint does.
+func stateOps(ops []journal.Op, w *Window, col int, old *winState) []journal.Op {
+	all := old == nil
+	if all || col != old.col || w.top != old.top || w.hidden != old.hidden || w.IsDir != old.isDir {
+		bits := 0
+		if w.hidden {
+			bits |= 1
+		}
+		if w.IsDir {
+			bits |= 2
+		}
+		ops = append(ops, journal.Op{Kind: journal.OpPlace, Win: w.ID, P0: col, P1: w.top, P2: bits})
+	}
+	if all || w.bodyOrg != old.org {
+		ops = append(ops, journal.Op{Kind: journal.OpScroll, Win: w.ID, P0: w.bodyOrg})
+	}
+	for sub, sel := range w.Sel {
+		if all || sel != old.sel[sub] {
+			ops = append(ops, journal.Op{Kind: journal.OpSelect, Win: w.ID, Sub: sub, P0: sel.Q0, P1: sel.Q1})
+		}
+	}
+	if m := w.Body.Modified(); all || m != old.modified {
+		ops = append(ops, journal.Op{Kind: journal.OpClean, Win: w.ID, Flag: !m})
+	}
+	return ops
 }
 
 // recoverPanic is deferred by the event loop and command executor: a
@@ -425,16 +381,11 @@ func checkpointOps(h *Help) []journal.Op {
 		}
 	}
 	for _, w := range wins {
-		id := w.ID
 		ops = append(ops,
-			journal.Op{Kind: journal.OpNewWin, Win: id, Flag: w.IsDir},
-			journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubTag, Str1: w.Tag.String()},
-			journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubBody, Str1: w.Body.String()},
-			placeOp(w, h.colIndex(w.col)),
-			journal.Op{Kind: journal.OpScroll, Win: id, P0: w.bodyOrg},
-			journal.Op{Kind: journal.OpSelect, Win: id, Sub: SubTag, P0: w.Sel[SubTag].Q0, P1: w.Sel[SubTag].Q1},
-			journal.Op{Kind: journal.OpSelect, Win: id, Sub: SubBody, P0: w.Sel[SubBody].Q0, P1: w.Sel[SubBody].Q1},
-			journal.Op{Kind: journal.OpClean, Win: id, Flag: !w.Body.Modified()})
+			journal.Op{Kind: journal.OpNewWin, Win: w.ID, Flag: w.IsDir},
+			journal.Op{Kind: journal.OpSplice, Win: w.ID, Sub: SubTag, Str1: w.Tag.String()},
+			journal.Op{Kind: journal.OpSplice, Win: w.ID, Sub: SubBody, Str1: w.Body.String()})
+		ops = stateOps(ops, w, h.colIndex(w.col), nil)
 	}
 	cw, cs := h.currentIDs()
 	return append(ops,

@@ -11,11 +11,11 @@ import (
 // This file threads the notify bus through the session. Emission sites
 // mirror the journal's: discrete transitions (window create/close,
 // command execution, faults via the obs sink) publish where they
-// happen, while text changes are announced by a sweep that compares
-// buffer generations at the end of each top-level interaction — the
-// same choke points JournalSweep runs at — so typing, Cut, Paste,
-// Undo, Get!, and file-interface writes all produce the same "body"
-// (or "tag") event, coalesced per interaction rather than per rune.
+// happen, while text changes are announced by the sweep that ends each
+// top-level interaction (JournalSweep), the same pass that journals the
+// interaction's state — so typing, Cut, Paste, Undo, Get!, and
+// file-interface writes all produce the same "body" (or "tag") event,
+// coalesced per interaction rather than per rune.
 
 // winID is the window id used for event attribution, 0 when there is
 // no window context.
@@ -26,40 +26,22 @@ func winID(w *Window) int {
 	return w.ID
 }
 
-// notifySweep publishes a body/tag event for every window whose buffer
-// generation moved since the last sweep. Runs under the actor lock; it
-// is O(windows) with two integer compares each, cheap enough to leave
-// on unconditionally. The published generation is in vfs gen space
+// publishGen announces that window id's body or tag (kind) reached
+// buffer generation g. The published generation is in vfs gen space
 // (text gen + 1, matching what /mnt/help/<n>/body reports through
 // Stat), so a remote cache can compare it against its own entries.
-func (h *Help) notifySweep() {
-	b := h.Notify
-	if b == nil {
-		return
+// Formatting it costs an allocation per event; while nobody has ever
+// listened (armed is false), the bare skeleton goes out instead —
+// resume still works, and a consumer that later backfills a
+// detail-less body event must treat the generation as unknown (assume
+// stale). This keeps the append hot path at its pre-notify alloc count
+// for the common session no one watches.
+func (h *Help) publishGen(id int, kind string, g uint64, armed bool) {
+	detail := ""
+	if armed {
+		detail = string(strconv.AppendUint([]byte("gen "), g+1, 10))
 	}
-	// Formatting the generation costs an allocation per event; while
-	// nobody has ever listened (b.Armed), publish the bare skeleton
-	// instead — resume still works, and a consumer that later backfills
-	// a detail-less body event must treat the generation as unknown
-	// (assume stale). This keeps the append hot path at its pre-notify
-	// alloc count for the common session no one watches.
-	armed := b.Armed()
-	genDetail := func(g uint64) string {
-		if !armed {
-			return ""
-		}
-		return string(strconv.AppendUint([]byte("gen "), g+1, 10))
-	}
-	for _, w := range h.byID {
-		if g := w.Body.Gen(); g != w.notifiedBody {
-			w.notifiedBody = g
-			b.Publish(w.ID, "body", genDetail(g))
-		}
-		if g := w.Tag.Gen(); g != w.notifiedTag {
-			w.notifiedTag = g
-			b.Publish(w.ID, "tag", genDetail(g))
-		}
-	}
+	h.Notify.Publish(id, kind, detail)
 }
 
 // watchCmd implements the Watch built-in: `Watch cmd args...` runs the

@@ -62,18 +62,20 @@ type Window struct {
 	// stat to skip re-reading a file that has not moved.
 	fileGen uint64
 
-	// notifiedBody and notifiedTag are the buffer generations the last
-	// notify sweep announced; see Help.notifySweep.
-	notifiedBody uint64
-	notifiedTag  uint64
+	// seen is what the last sweep reported about the window; see
+	// Help.JournalSweep.
+	seen winState
 }
 
-// newWindow builds an empty window with the given id.
+// newWindow builds an empty window with the given id. Its seen column
+// is -1, which no real column matches, so the first sweep reports the
+// window's placement.
 func newWindow(id int) *Window {
 	return &Window{
 		ID:   id,
 		Tag:  text.NewBuffer(""),
 		Body: text.NewBuffer(""),
+		seen: winState{col: -1},
 	}
 }
 
@@ -127,8 +129,7 @@ func (w *Window) setTagLine(name string, modified bool) {
 	if name != "" && !strings.HasSuffix(name, "/") {
 		b.WriteString(" Get!")
 	}
-	w.Tag.SetString(b.String())
-	w.Tag.SetClean()
+	w.Tag.Load(b.String())
 	// Editing the tag must not leave a stale selection.
 	w.Sel[SubTag] = clampSel(w.Sel[SubTag], w.Tag.Len())
 }

@@ -256,7 +256,7 @@ func (d *bufDevice) OpenDevice(mode int) (vfs.DeviceFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &bufHandle{d: d, w: w, k: d.k, t0: d.k.open()}
+	h := &bufHandle{d: d, k: d.k, t0: d.k.open()}
 	rw := mode &^ (vfs.OTRUNC | vfs.OAPPEND)
 	if rw != vfs.OREAD {
 		h.writable = true
@@ -285,7 +285,6 @@ func (d *bufDevice) OpenDevice(mode int) (vfs.DeviceFile, error) {
 
 type bufHandle struct {
 	d        *bufDevice
-	w        *core.Window
 	snapshot string
 	// reader replaces snapshot for paged bodies; see OpenDevice.
 	reader   *text.ByteReader
@@ -325,13 +324,19 @@ func (h *bufHandle) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Close applies buffered writes: bodyapp appends, tag/body replace.
+// Close applies buffered writes: bodyapp appends, tag/body replace. The
+// window is looked up again, so a write to a window closed since the
+// open fails instead of editing a buffer no longer on the screen.
 func (h *bufHandle) Close() error {
 	defer h.k.close(h.t0)
 	if !h.wrote {
 		return nil
 	}
-	buf := h.w.Buffer(h.d.sub)
+	w, err := h.d.s.window(h.d.id)
+	if err != nil {
+		return err
+	}
+	buf := w.Buffer(h.d.sub)
 	// Admission check before the splice: a remote writer filling bodies
 	// is bounded by the same memory budgets as Open/Get, so one session
 	// streaming huge payloads through /mnt/help cannot starve neighbors.
@@ -350,8 +355,8 @@ func (h *bufHandle) Close() error {
 	buf.Commit()
 	// A replacement may have shrunk the buffer under an existing
 	// selection; re-clamping keeps every later edit in range.
-	sel := h.w.Sel[h.d.sub]
-	h.w.SetSelection(h.d.sub, sel.Q0, sel.Q1)
+	sel := w.Sel[h.d.sub]
+	w.SetSelection(h.d.sub, sel.Q0, sel.Q1)
 	// Tags are never rewritten implicitly here: programs own their
 	// windows' tags and use the "name"/"tag"/"clean"/"dirty" control
 	// messages when they want the standard decorations.
@@ -522,8 +527,7 @@ func (s *Service) ctlMessage(w *core.Window, line string) error {
 	case "name":
 		w.SetNameTag(arg)
 	case "tag":
-		w.Tag.SetString(arg)
-		w.Tag.SetClean()
+		w.Tag.Load(arg)
 	case "clean":
 		w.Body.SetClean()
 		w.RefreshTag()

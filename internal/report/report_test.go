@@ -70,7 +70,7 @@ func TestSizeTable(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"help core", "substrates", "4300 lines of C",
+		"help core (core+helpfs)", "help core, beyond paper", "substrates", "4300 lines of C",
 		"/help/cbr/decl", "UI references: 0",
 	} {
 		if !strings.Contains(out, want) {

@@ -60,7 +60,8 @@ func grepOracle(lines []string, match []bool, flags, name string, showName bool)
 			fmt.Fprintf(&out, "%s%s\n", prefix, line)
 		}
 	}
-	if strings.Contains(flags, "c") {
+	// -l wins over -c: a file with no matching line prints nothing.
+	if strings.Contains(flags, "c") && !strings.Contains(flags, "l") {
 		fmt.Fprintf(&out, "%s%d\n", prefix, n)
 	}
 	return out.String(), n > 0
@@ -132,24 +133,26 @@ var grepPatterns = []string{
 }
 
 // TestGrepChunkedMatchesSequential runs every flag combination that
-// changes the output shape, for each pattern, over a multi-chunk file
-// and over a copy with a needle across every chunk boundary, and
-// compares the chunked scan against the line-by-line oracle.
+// changes the output shape, for each pattern (and one that matches
+// nothing), over a multi-chunk file, over a copy with a needle across
+// every chunk boundary, and over a file small enough to be scanned
+// whole, and compares each scan against the line-by-line oracle.
 func TestGrepChunkedMatchesSequential(t *testing.T) {
 	body := bigGrepBody(t)
 	straddled := bytes.Clone(body)
 	for off := grepChunk; off+3 <= len(straddled); off += grepChunk {
 		copy(straddled[off-3:], "needle")
 	}
+	small := body[:64<<10]
 	for _, tc := range []struct {
 		name string
 		body []byte
-	}{{"body", body}, {"straddled", straddled}} {
+	}{{"body", body}, {"straddled", straddled}, {"small", small}} {
 		_, ctx, out := grepEnv(t, tc.body)
 		lines := oracleLines(tc.body)
-		for _, pat := range grepPatterns {
+		for _, pat := range append(grepPatterns, "zzzqqq") {
 			match := oracleMatches(mustRe(t, pat), lines)
-			for _, flags := range []string{"", "-n", "-c", "-l", "-vc", "-nv"} {
+			for _, flags := range []string{"", "-n", "-c", "-l", "-lc", "-vc", "-nv"} {
 				out.Reset()
 				status := grepArgs(ctx, flags, pat, "/tmp/big")
 				want, hit := grepOracle(lines, match, flags, "/tmp/big", strings.Contains(flags, "n"))

@@ -216,11 +216,11 @@ func grepScanAll(o *grepOpts, name string, data []byte, showName bool, out *byte
 		}
 		return !o.namesOnly
 	})
-	if o.namesOnly && n > 0 {
-		fmt.Fprintln(out, name)
-		return true
-	}
-	if o.count {
+	if o.namesOnly {
+		if n > 0 {
+			fmt.Fprintln(out, name)
+		}
+	} else if o.count {
 		prefix := ""
 		if showName {
 			prefix = name + ":"

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultfile"
 	"repro/internal/journal"
+	"repro/internal/vfs"
 )
 
 // countFS counts every byte written through it, so the reference run
@@ -232,5 +233,60 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		if w2.Help.PanicCount() != 0 {
 			t.Fatalf("torn cut at %d: %d recovered panics", cut, w2.Help.PanicCount())
 		}
+	}
+}
+
+// TestWriteAfterCloseRecovers: a file-interface handle opened before its
+// window closed is written and closed after the close. The write must
+// fail with an error instead of editing the closed window's buffer, and
+// it must not reach the journal, which recovers to the live state.
+func TestWriteAfterCloseRecovers(t *testing.T) {
+	for _, file := range []string{"body", "bodyapp", "tag"} {
+		t.Run(file, func(t *testing.T) {
+			w, err := Build(120, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			jfs := journal.NewMemFS()
+			jw, err := journal.Open(jfs, journal.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jw.Close()
+			w.Help.AttachJournal(jw, 1<<20)
+			win := w.Help.NewWindow()
+			f, err := w.Help.SafeFS().Open(fmt.Sprintf("%s/%d/%s", MountRoot, win.ID, file), vfs.OWRITE)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Help.Execute(win, "Close!")
+			if _, err := f.Write([]byte("late write\n")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err == nil {
+				t.Errorf("closing a %s write to window %d after its close returned nil", file, win.ID)
+			}
+			want := recoverFingerprint(w.Help)
+			if err := jw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			w2, err := Build(120, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w2.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.RecoverSession(w2.Help, jfs); err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			if got := recoverFingerprint(w2.Help); got != want {
+				t.Fatalf("recovered world differs\n--- live ---\n%s\n--- recovered ---\n%s", want, got)
+			}
+		})
 	}
 }
